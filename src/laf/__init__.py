@@ -8,8 +8,8 @@ and localizes actions with sliding windows plus temporal NMS, evaluated by
 Hit@k and mAP at configurable temporal-overlap ratios.
 """
 
-from .classifier import (Classifier, ClassifierTrainConfig, load_classifier, predict_softmax,
-                         save_classifier, score_for_label, train_classifier)
+from .classifier import (Classifier, ClassifierTrainConfig, load_classifier, predict_softmax_many,
+                         save_classifier, scores_for_labels, train_classifier)
 from .config import RunConfig, load_run_config
 from .corpus import Corpus, Interval, VideoSequence, WebImage, load_corpus, save_corpus
 from .errors import (ConfigError, CorpusFormatError, LafError, TransferCollapseError,
@@ -20,8 +20,7 @@ from .localization import (Detection, LocalizationConfig, classify_video, locali
 from .lstm import (LstmModel, LstmState, LstmTrainConfig, load_lstm, lstm_backward,
                    lstm_forward, lstm_step, save_lstm, train_lstm, weighted_sequence_loss)
 from .synth import SynthSpec, corpus_stats, generate_corpus
-from .transfer import (LafResult, TransferConfig, filter_items, initialize_frame_set,
-                       laf_scores_for_video, run_domain_transfer, shot_laf_scores,
-                       validation_accuracy)
+from .transfer import (LafResult, TransferConfig, filter_scores, initialize_frame_set,
+                       laf_scores_for_video, run_domain_transfer, validation_accuracy)
 
 __version__ = "0.1.0"

@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .errors import CorpusFormatError, ValidationError
-from .ioutil import atomic_write_text, decode_f64, encode_f64
+from .ioutil import atomic_write_text, decode_f64, encode_f64, read_json_object
 from .numerics import softmax
 
 CHECKPOINT_FORMAT = "laf-softmax"
@@ -67,14 +66,6 @@ class Classifier:
         return self.weights.shape[1]
 
 
-def predict_softmax(clf: Classifier, feature: np.ndarray) -> np.ndarray:
-    """Probability vector over labels for one feature; sums to 1 within 1e-12."""
-    feature = np.asarray(feature, dtype=np.float64)
-    if feature.shape != (clf.feature_dim,):
-        raise ValidationError(f"feature dimension {feature.shape} != ({clf.feature_dim},)")
-    return softmax(clf.weights @ feature + clf.biases)
-
-
 def predict_softmax_many(clf: Classifier, features: np.ndarray) -> np.ndarray:
     """Row-wise softmax probabilities for an (n, d) feature matrix."""
     features = np.asarray(features, dtype=np.float64)
@@ -83,15 +74,8 @@ def predict_softmax_many(clf: Classifier, features: np.ndarray) -> np.ndarray:
     return softmax(features @ clf.weights.T + clf.biases, axis=1)
 
 
-def score_for_label(clf: Classifier, feature: np.ndarray, label: int) -> float:
-    """The softmax probability the classifier assigns to ``label``."""
-    if not (0 <= label < clf.num_labels):
-        raise ValidationError(f"label {label} outside [0, {clf.num_labels})")
-    return float(predict_softmax(clf, feature)[label])
-
-
 def scores_for_labels(clf: Classifier, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Vectorized ``score_for_label``: probs[i] = softmax(x_i)[labels[i]]."""
+    """Own-label probabilities: probs[i] = softmax(x_i)[labels[i]]."""
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= clf.num_labels):
         raise ValidationError(f"labels outside [0, {clf.num_labels})")
@@ -119,25 +103,24 @@ def cross_entropy_gradient(weights: np.ndarray, biases: np.ndarray, features: np
     return grad_w, grad_b
 
 
-def _as_arrays(examples: Sequence[tuple[np.ndarray, int]], num_labels: int) -> tuple[np.ndarray, np.ndarray]:
-    if len(examples) == 0:
-        raise ValidationError("cannot train on an empty example list")
-    features = np.stack([np.asarray(f, dtype=np.float64) for f, _ in examples])
-    labels = np.asarray([lab for _, lab in examples], dtype=np.int64)
-    if labels.min() < 0 or labels.max() >= num_labels:
-        raise ValidationError(f"labels outside [0, {num_labels})")
-    return features, labels
-
-
-def train_classifier(examples: Sequence[tuple[np.ndarray, int]], num_labels: int,
+def train_classifier(features: np.ndarray, labels: np.ndarray, num_labels: int,
                      config: ClassifierTrainConfig) -> Classifier:
     """Mini-batch gradient descent from zero-initialized parameters.
 
-    Each epoch shuffles the example order with the seeded generator; batch
-    gradients are averaged, so the learning rate is comparable across batch
-    sizes. Deterministic given data, config, and seed.
+    Takes an (n, d) feature matrix and n labels. Each epoch shuffles the
+    example order with the seeded generator; batch gradients are averaged, so
+    the learning rate is comparable across batch sizes. Deterministic given
+    data, config, and seed.
     """
-    features, labels = _as_arrays(examples, num_labels)
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
+        raise ValidationError("cannot train on an empty example set")
+    if features.ndim != 2 or labels.shape != features.shape[:1]:
+        raise ValidationError(f"need an (n, d) feature matrix and n labels, "
+                              f"got {features.shape} and {labels.shape}")
+    if labels.min() < 0 or labels.max() >= num_labels:
+        raise ValidationError(f"labels outside [0, {num_labels})")
     n, dim = features.shape
     weights = np.zeros((num_labels, dim))
     biases = np.zeros(num_labels)
@@ -166,15 +149,13 @@ def save_classifier(clf: Classifier, path: str | Path) -> None:
 
 
 def load_classifier(path: str | Path) -> Classifier:
+    obj = read_json_object(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if obj.get("format") != CHECKPOINT_FORMAT or obj.get("version") != CHECKPOINT_VERSION:
-        raise CorpusFormatError(f"{path}: not a {CHECKPOINT_FORMAT} v{CHECKPOINT_VERSION} checkpoint")
-    num_labels, dim = int(obj["num_labels"]), int(obj["feature_dim"])
-    weights = decode_f64(obj["weights"], str(path)).reshape(num_labels, dim)
-    biases = decode_f64(obj["biases"], str(path))
+        num_labels, dim = int(obj["num_labels"]), int(obj["feature_dim"])
+        weights = decode_f64(obj["weights"], str(path)).reshape(num_labels, dim)
+        biases = decode_f64(obj["biases"], str(path))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorpusFormatError(f"{path}: malformed checkpoint: {exc!r}") from exc
     if biases.shape != (num_labels,):
         raise CorpusFormatError(f"{path}: bias length {biases.size} != num_labels {num_labels}")
     return Classifier(weights=weights, biases=biases)

@@ -9,7 +9,6 @@ from a single number.
 from __future__ import annotations
 
 import dataclasses
-import json
 import types
 import typing
 from dataclasses import dataclass, field
@@ -18,6 +17,7 @@ from pathlib import Path
 from .classifier import ClassifierTrainConfig
 from .errors import ConfigError, LafError
 from .evaluation import EvalConfig
+from .ioutil import read_json_object
 from .localization import LocalizationConfig
 from .lstm import LstmTrainConfig
 from .synth import SynthSpec
@@ -123,11 +123,7 @@ def build_dataclass(cls, data, path: str):
 
 
 def load_run_config(path: str | Path) -> RunConfig:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return run_config_from_dict(data)
+    return run_config_from_dict(read_json_object(path, error=ConfigError))
 
 
 def run_config_from_dict(data: dict) -> RunConfig:

@@ -134,18 +134,25 @@ def evaluate(detections: Sequence[Detection], videos: Sequence[VideoSequence],
     """Full report: Hit@k over videos plus mAP and per-label AP at each ratio."""
     if not videos:
         raise ValidationError("evaluation needs a nonempty video set")
-    known = {video.id for video in videos}
+    steps = {video.id: video.num_steps for video in videos}
     for det in detections:
-        if det.video_id not in known:
+        if det.video_id not in steps:
             raise ValidationError(f"detection references unknown video id {det.video_id!r}")
+        if not 0 <= det.label < num_labels:
+            raise ValidationError(f"detection label {det.label} on {det.video_id!r} "
+                                  f"outside [0, {num_labels})")
+        if det.interval.end > steps[det.video_id]:
+            raise ValidationError(f"detection [{det.interval.start}, {det.interval.end}) exceeds "
+                                  f"the {steps[det.video_id]} steps of {det.video_id!r}")
 
     if video_scores is not None:
         missing = [v.id for v in videos if v.id not in video_scores]
         if missing:
             raise ValidationError(f"missing classification scores for videos: {missing[:5]}")
-        scores = np.stack([np.asarray(video_scores[v.id], dtype=np.float64) for v in videos])
-        if scores.shape != (len(videos), num_labels):
+        rows = [np.asarray(video_scores[v.id], dtype=np.float64) for v in videos]
+        if any(row.shape != (num_labels,) for row in rows):
             raise ValidationError(f"classification scores must be ({len(videos)}, {num_labels})")
+        scores = np.stack(rows)
     else:
         scores = max_pooled_scores(detections, videos, num_labels)
     labels = np.asarray([video.label for video in videos])

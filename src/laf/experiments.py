@@ -1,64 +1,35 @@
 """Desk-scale synthetic experiments shared by the scripts and the test suite.
 
-The corpus family: 8 fine-grained actions under 4 activities, 16-d features,
-40% of web images drawn from image-domain-only noise modes, and action
-segments covering 20% of each video. Mode separation is six standard
-deviations, so classifiers succeed or fail on label/weight flow rather than
-on raw feature difficulty.
+The corpus family, set by ``configs/desk_experiment.json``: 8 fine-grained
+actions under 4 activities, 16-d features, 40% of web images drawn from
+image-domain-only noise modes, and action segments covering 20% of each
+video. Mode separation is six standard deviations, so classifiers succeed or
+fail on label/weight flow rather than on raw feature difficulty.
 """
 
 from __future__ import annotations
 
-from .classifier import ClassifierTrainConfig
-from .config import RunConfig, apply_global_seed
+from pathlib import Path
+
+from .config import RunConfig, apply_global_seed, load_run_config
 from .corpus import with_laf_weights
 from .evaluation import detections_by_label, ground_truth_by_label, mean_ap
 from .localization import localize_videos
-from .lstm import LstmTrainConfig, train_lstm
+from .lstm import train_lstm
 from .pipeline import training_videos_for_mode
-from .synth import SynthSpec, generate_corpus, image_pool_purity
-from .transfer import TransferConfig, run_domain_transfer
+from .synth import generate_corpus, image_pool_purity
+from .transfer import run_domain_transfer
+
+DESK_CONFIG = Path(__file__).resolve().parents[2] / "configs" / "desk_experiment.json"
 
 
 def experiment_config(seed: int = 0) -> RunConfig:
-    config = RunConfig(
-        synth=SynthSpec(
-            num_activities=4,
-            actions_per_activity=2,
-            feature_dim=16,
-            train_videos_per_action=6,
-            validation_videos_per_action=2,
-            test_videos_per_action=4,
-            frames_per_video=(30, 45),
-            action_segment_fraction=0.2,
-            images_per_action=40,
-            image_noise_fraction=0.4,
-            mode_separation=6.0,
-            mode_stddev=1.0,
-        ),
-        transfer=TransferConfig(
-            theta1=0.5,
-            theta2=0.5,
-            max_iterations=6,
-            frames_per_video=10,
-            min_items_per_label=1,
-            classifier_config=ClassifierTrainConfig(learning_rate=0.1, epochs=80,
-                                                    l2_penalty=1e-4, batch_size=32),
-        ),
-        # Decayless short schedule sized so all three weighting modes converge
-        # in seconds on the desk-scale corpus.
-        lstm=LstmTrainConfig(
-            num_cells=16,
-            proj_dim=8,
-            unroll_k=20,
-            learning_rate=0.05,
-            lr_decay=1.0,
-            batch_size=12,
-            epochs=12,
-            gradient_clip=5.0,
-        ),
-    )
-    return apply_global_seed(config, seed)
+    """The desk config file with every stage seed set to ``seed``.
+
+    Its LSTM schedule is decayless and short, sized so all three weighting
+    modes converge in seconds on the desk-scale corpus.
+    """
+    return apply_global_seed(load_run_config(DESK_CONFIG), seed)
 
 
 def purity_trial(seed: int) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Small I/O helpers: exact float serialization and atomic file writes."""
+"""Small I/O helpers: exact float serialization, JSON-object reads and atomic writes."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, LafError
 
 
 def encode_f64(values: np.ndarray) -> str:
@@ -28,6 +28,24 @@ def decode_f64(text: str, where: str = "") -> np.ndarray:
     if len(raw) % 8 != 0:
         raise CorpusFormatError(f"{where}: feature byte length {len(raw)} is not a multiple of 8")
     return np.frombuffer(raw, dtype="<f8")
+
+
+def read_json_object(path: str | Path, fmt: str | None = None, version: int | None = None,
+                     error: type[LafError] = CorpusFormatError) -> dict:
+    """Parse a file that must hold one JSON object.
+
+    With ``fmt``, the object's ``format`` and ``version`` fields must equal
+    ``fmt`` and ``version``. Every failure raises ``error`` naming the path.
+    """
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise error(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    if fmt is not None and (obj.get("format") != fmt or obj.get("version") != version):
+        raise error(f"{path}: not a {fmt} v{version} checkpoint")
+    return obj
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import VideoSequence
 from .errors import CorpusFormatError, ValidationError
-from .ioutil import atomic_write_text, decode_f64, encode_f64
+from .ioutil import atomic_write_text, decode_f64, encode_f64, read_json_object
 from .numerics import sigmoid, softmax
 
 CHECKPOINT_FORMAT = "laf-lstm"
@@ -373,12 +373,7 @@ def save_lstm(model: LstmModel, path: str | Path) -> None:
 
 
 def load_lstm(path: str | Path) -> LstmModel:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if obj.get("format") != CHECKPOINT_FORMAT or obj.get("version") != CHECKPOINT_VERSION:
-        raise CorpusFormatError(f"{path}: not a {CHECKPOINT_FORMAT} v{CHECKPOINT_VERSION} checkpoint")
+    obj = read_json_object(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     try:
         dims = obj["dims"]
         input_dim, num_cells = int(dims["input"]), int(dims["cells"])

@@ -8,7 +8,6 @@ All writes are atomic (temp file + rename).
 from __future__ import annotations
 
 import dataclasses
-import json
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,7 @@ from .config import RunConfig
 from .corpus import Corpus, load_corpus, save_corpus, with_laf_weights
 from .errors import CorpusFormatError, ValidationError
 from .evaluation import evaluate
-from .ioutil import atomic_write_json
+from .ioutil import atomic_write_json, read_json_object
 from .localization import classify_video, load_detections, localize_videos, save_detections
 from .lstm import load_lstm, lstm_forward, save_lstm, train_lstm
 from .synth import corpus_stats, generate_corpus, mode_centers
@@ -108,11 +107,11 @@ def stage_eval(config: RunConfig, detections_path: str | Path, corpus_path: str 
     detections = load_detections(detections_path)
     video_scores = None
     if scores_path is not None:
+        raw = read_json_object(scores_path)
         try:
-            raw = json.loads(Path(scores_path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{scores_path}: invalid JSON: {exc}") from exc
-        video_scores = {vid: np.asarray(vec, dtype=np.float64) for vid, vec in raw.items()}
+            video_scores = {vid: np.asarray(vec, dtype=np.float64) for vid, vec in raw.items()}
+        except (TypeError, ValueError) as exc:
+            raise CorpusFormatError(f"{scores_path}: score vectors must be lists of numbers") from exc
     report = evaluate(detections, corpus.test_videos, config.eval, corpus.num_labels,
                       video_scores=video_scores)
     atomic_write_json(out_report, report)

@@ -15,13 +15,13 @@ that step's LAF weight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .classifier import (Classifier, ClassifierTrainConfig, predict_softmax_many,
                          scores_for_labels, train_classifier)
-from .corpus import Corpus, Interval, VideoSequence, WebImage
+from .corpus import Corpus, VideoSequence, WebImage
 from .errors import TransferCollapseError, ValidationError
 
 
@@ -44,27 +44,6 @@ class TransferConfig:
             raise ValidationError("frames_per_video must be positive")
         if self.min_items_per_label < 0:
             raise ValidationError("min_items_per_label must be nonnegative")
-
-
-class FrameItem(NamedTuple):
-    """One entry of the frame set: a single labeled step of a training video."""
-
-    video_id: str
-    step: int
-    label: int
-    feature: np.ndarray
-
-
-@dataclass(eq=False)
-class TransferState:
-    """Mutable loop state; pool sizes only ever shrink."""
-
-    iteration: int
-    images: list[WebImage]
-    frames: list[FrameItem]
-    frame_model: Classifier
-    image_model: Classifier | None
-    validation_history: list[float]
 
 
 @dataclass(frozen=True)
@@ -96,24 +75,31 @@ class LafResult:
     proposal_model: Classifier
     laf_weights: dict[str, np.ndarray]
     log: list[TransferIterationLog]
-    validation_history: list[float]
     image_pool: tuple[WebImage, ...]  # images the proposal model was trained on
+
+    @property
+    def validation_history(self) -> list[float]:
+        return [entry.validation_accuracy for entry in self.log]
 
 
 def initialize_frame_set(train_videos: Sequence[VideoSequence], frames_per_video: int,
-                         seed: int) -> list[FrameItem]:
-    """Random initial frame sample: per video, that many distinct steps (or all)."""
+                         seed: int) -> np.ndarray:
+    """Random initial frame sample: per video, that many distinct steps (or all).
+
+    Returns an (n, 2) integer array of (index into ``train_videos``, step) rows,
+    grouped by video with steps ascending.
+    """
     if not train_videos:
         raise ValidationError("cannot initialize a frame set from zero videos")
     if frames_per_video < 1:
         raise ValidationError("frames_per_video must be positive")
     rng = np.random.default_rng(seed)
-    items: list[FrameItem] = []
-    for video in train_videos:
+    rows = []
+    for index, video in enumerate(train_videos):
         count = min(frames_per_video, video.num_steps)
         steps = np.sort(rng.choice(video.num_steps, size=count, replace=False))
-        items.extend(FrameItem(video.id, int(s), video.label, video.frames[s]) for s in steps)
-    return items
+        rows.append(np.column_stack([np.full(count, index), steps]))
+    return np.concatenate(rows)
 
 
 def filter_scores(features: np.ndarray, labels: np.ndarray, clf: Classifier, theta: float,
@@ -137,17 +123,6 @@ def filter_scores(features: np.ndarray, labels: np.ndarray, clf: Classifier, the
     return keep, scores
 
 
-def filter_items(items: Sequence[tuple[np.ndarray, int]], clf: Classifier, theta: float,
-                 min_items_per_label: int = 0) -> list[tuple[np.ndarray, int]]:
-    """Threshold-filter (feature, label) pairs, preserving their order."""
-    if not items:
-        return []
-    features = np.stack([np.asarray(f, dtype=np.float64) for f, _ in items])
-    labels = np.asarray([lab for _, lab in items])
-    keep, _ = filter_scores(features, labels, clf, theta, min_items_per_label)
-    return [item for item, kept in zip(items, keep) if kept]
-
-
 def validation_accuracy(clf: Classifier, validation_videos: Sequence[VideoSequence]) -> float:
     """Video accuracy under frame-probability averaging; argmax ties go to the lowest label."""
     if not validation_videos:
@@ -165,27 +140,6 @@ def laf_scores_for_video(proposal_model: Classifier, video: VideoSequence) -> np
     return predict_softmax_many(proposal_model, video.frames)[:, video.label]
 
 
-def shot_laf_scores(step_weights: np.ndarray, shots: Sequence[Interval]) -> np.ndarray:
-    """Average step weights within each shot; shots must tile [0, T) in order."""
-    step_weights = np.asarray(step_weights, dtype=np.float64)
-    total = step_weights.shape[0]
-    expected_start = 0
-    for shot in shots:
-        if shot.start != expected_start:
-            raise ValidationError(f"shots must tile [0, {total}) without gaps or overlap; "
-                                  f"got start {shot.start}, expected {expected_start}")
-        expected_start = shot.end
-    if expected_start != total:
-        raise ValidationError(f"shots cover [0, {expected_start}) but the video has {total} steps")
-    return np.array([step_weights[s.start:s.end].mean() for s in shots])
-
-
-def _train_on(pairs_features: np.ndarray, pairs_labels: np.ndarray, num_labels: int,
-              config: ClassifierTrainConfig) -> Classifier:
-    examples = list(zip(pairs_features, (int(l) for l in pairs_labels)))
-    return train_classifier(examples, num_labels, config)
-
-
 def _max_removed(scores: np.ndarray, keep: np.ndarray) -> float | None:
     removed = scores[~keep]
     return float(removed.max()) if removed.size else None
@@ -200,62 +154,51 @@ def run_domain_transfer(corpus: Corpus, config: TransferConfig) -> LafResult:
     if not corpus.validation_videos:
         raise ValidationError("domain transfer needs a validation split")
 
-    frames = initialize_frame_set(corpus.train_videos, config.frames_per_video, config.seed)
-    frame_features = np.stack([item.feature for item in frames])
-    frame_labels = np.asarray([item.label for item in frames])
-    state = TransferState(
-        iteration=0,
-        images=list(corpus.images),
-        frames=frames,
-        frame_model=_train_on(frame_features, frame_labels, corpus.num_labels,
-                              config.classifier_config),
-        image_model=None,
-        validation_history=[],
-    )
+    def fit(features: np.ndarray, labels: np.ndarray) -> Classifier:
+        return train_classifier(features, labels, corpus.num_labels, config.classifier_config)
+
+    # Both pools are fixed arrays; a round only shrinks the index arrays into them.
+    image_features = np.stack([img.feature for img in corpus.images])
+    image_labels = np.asarray([img.label for img in corpus.images])
+    videos = corpus.train_videos
+    frame_set = initialize_frame_set(videos, config.frames_per_video, config.seed)
+    frame_features = np.stack([videos[v].frames[s] for v, s in frame_set])
+    frame_labels = np.asarray([videos[v].label for v, _ in frame_set])
+    images = np.arange(len(image_labels))
+    frames = np.arange(len(frame_labels))
+    frame_model = fit(frame_features, frame_labels)
 
     log: list[TransferIterationLog] = []
     best_accuracy = -np.inf
     best_model: Classifier | None = None
-    best_pool: tuple[WebImage, ...] = ()
+    best_images = images
 
     for iteration in range(1, config.max_iterations + 1):
-        state.iteration = iteration
-
         # Frames -> images: prune the web pool with the frame-trained model.
-        image_features = np.stack([img.feature for img in state.images])
-        image_labels = np.asarray([img.label for img in state.images])
-        keep, scores = filter_scores(image_features, image_labels, state.frame_model,
+        keep, scores = filter_scores(image_features[images], image_labels[images], frame_model,
                                      config.theta1, config.min_items_per_label)
         max_removed_image = _max_removed(scores, keep)
-        state.images = [img for img, kept in zip(state.images, keep) if kept]
-        if not state.images:
+        images = images[keep]
+        if not images.size:
             raise TransferCollapseError(f"transfer collapsed: image pool empty at iteration {iteration}")
-        image_features, image_labels = image_features[keep], image_labels[keep]
-        state.image_model = _train_on(image_features, image_labels, corpus.num_labels,
-                                      config.classifier_config)
+        image_model = fit(image_features[images], image_labels[images])
 
         # Images -> frames: prune the frame set with the image-trained model.
-        frame_features_all = np.stack([item.feature for item in state.frames])
-        frame_labels_all = np.asarray([item.label for item in state.frames])
-        keep, scores = filter_scores(frame_features_all, frame_labels_all, state.image_model,
+        keep, scores = filter_scores(frame_features[frames], frame_labels[frames], image_model,
                                      config.theta2, config.min_items_per_label)
         max_removed_frame = _max_removed(scores, keep)
-        state.frames = [item for item, kept in zip(state.frames, keep) if kept]
-        if not state.frames:
+        frames = frames[keep]
+        if not frames.size:
             raise TransferCollapseError(f"transfer collapsed: frame set empty at iteration {iteration}")
 
         # Retrain on the pruned frames: next round's filter and this round's
         # validation model.
-        frame_features = frame_features_all[keep]
-        frame_labels = frame_labels_all[keep]
-        state.frame_model = _train_on(frame_features, frame_labels, corpus.num_labels,
-                                      config.classifier_config)
-        accuracy = validation_accuracy(state.frame_model, corpus.validation_videos)
-        state.validation_history.append(accuracy)
+        frame_model = fit(frame_features[frames], frame_labels[frames])
+        accuracy = validation_accuracy(frame_model, corpus.validation_videos)
         log.append(TransferIterationLog(
             iteration=iteration,
-            size_images=len(state.images),
-            size_frames=len(state.frames),
+            size_images=images.size,
+            size_frames=frames.size,
             validation_accuracy=accuracy,
             max_removed_image_score=max_removed_image,
             max_removed_frame_score=max_removed_frame,
@@ -263,16 +206,15 @@ def run_domain_transfer(corpus: Corpus, config: TransferConfig) -> LafResult:
 
         if accuracy > best_accuracy:
             best_accuracy = accuracy
-            best_model = state.image_model
-            best_pool = tuple(state.images)
+            best_model = image_model
+            best_images = images
         elif accuracy < best_accuracy:
             break
 
     assert best_model is not None
-    weights = {video.id: laf_scores_for_video(best_model, video)
-               for video in corpus.train_videos}
+    weights = {video.id: laf_scores_for_video(best_model, video) for video in videos}
     return LafResult(proposal_model=best_model, laf_weights=weights, log=log,
-                     validation_history=list(state.validation_history), image_pool=best_pool)
+                     image_pool=tuple(corpus.images[i] for i in best_images))
 
 
 def transfer_log_json(log: Sequence[TransferIterationLog]) -> list[dict]:

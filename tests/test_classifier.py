@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laf.classifier import (Classifier, ClassifierTrainConfig, cross_entropy_gradient,
-                            cross_entropy_loss, load_classifier, predict_softmax,
-                            predict_softmax_many, save_classifier, score_for_label,
-                            train_classifier)
+                            cross_entropy_loss, load_classifier, predict_softmax_many,
+                            save_classifier, scores_for_labels, train_classifier)
 from laf.errors import CorpusFormatError, ValidationError
 
 
@@ -25,23 +25,23 @@ def two_blob_data(rng, n_per=50, spread=0.5):
 
 
 def test_zero_epochs_gives_uniform_predictions(rng):
-    examples = [(rng.normal(0, 1, 3), int(rng.integers(4))) for _ in range(10)]
-    clf = train_classifier(examples, 4, ClassifierTrainConfig(epochs=0))
+    features, labels = rng.normal(0, 1, (10, 3)), rng.integers(4, size=10)
+    clf = train_classifier(features, labels, 4, ClassifierTrainConfig(epochs=0))
     assert np.array_equal(clf.weights, np.zeros((4, 3)))
-    np.testing.assert_allclose(predict_softmax(clf, np.array([5.0, -3.0, 1.0])), 0.25)
+    np.testing.assert_allclose(predict_softmax_many(clf, np.array([[5.0, -3.0, 1.0]])), 0.25)
 
 
 def test_uniform_probability_matches_one_over_n():
     clf = uniform_classifier(240, 2)
-    probs = predict_softmax(clf, np.array([1.0, -4.0]))
+    probs = predict_softmax_many(clf, np.array([[1.0, -4.0]]))
     np.testing.assert_allclose(probs, 1.0 / 240)
 
 
 def test_constructed_logits_give_closed_form_softmax():
     # logits (ln 2, 0) -> probabilities (2/3, 1/3)
     clf = Classifier(np.array([[math.log(2.0)], [0.0]]), np.zeros(2))
-    probs = predict_softmax(clf, np.array([1.0]))
-    np.testing.assert_allclose(probs, [2 / 3, 1 / 3], rtol=1e-14)
+    probs = predict_softmax_many(clf, np.array([[1.0]]))
+    np.testing.assert_allclose(probs, [[2 / 3, 1 / 3]], rtol=1e-14)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -49,42 +49,42 @@ def test_constructed_logits_give_closed_form_softmax():
 def test_softmax_normalized_and_positive(seed):
     rng = np.random.default_rng(seed)
     clf = Classifier(rng.normal(0, 3, (5, 4)), rng.normal(0, 3, 5))
-    probs = predict_softmax(clf, rng.normal(0, 3, 4))
+    probs = predict_softmax_many(clf, rng.normal(0, 3, (1, 4)))
     assert abs(probs.sum() - 1.0) <= 1e-12
     assert np.all(probs > 0) and np.all(probs <= 1)
 
 
 def test_softmax_strictly_inside_unit_interval_for_moderate_logits(rng):
     clf = Classifier(rng.normal(0, 1, (5, 4)), rng.normal(0, 1, 5))
-    probs = predict_softmax(clf, rng.normal(0, 1, 4))
+    probs = predict_softmax_many(clf, rng.normal(0, 1, (1, 4)))
     assert np.all(probs > 0) and np.all(probs < 1)
 
 
 def test_softmax_stable_at_logit_magnitude_700():
     clf = Classifier(np.array([[700.0], [-700.0], [0.0]]), np.zeros(3))
-    probs = predict_softmax(clf, np.array([1.0]))
+    probs = predict_softmax_many(clf, np.array([[1.0]]))
     assert np.all(np.isfinite(probs)) and abs(probs.sum() - 1.0) <= 1e-12
     assert np.all(probs > 0)
 
 
 def test_score_for_label():
-    clf = uniform_classifier(4, 2)
     feature = np.array([0.3, -0.7])
-    assert score_for_label(clf, feature, 2) == pytest.approx(0.25)
+    copies = np.tile(feature, (4, 1))  # one row per label to score
+    assert scores_for_labels(uniform_classifier(4, 2), copies, np.arange(4))[2] == pytest.approx(0.25)
     rng = np.random.default_rng(3)
     clf = Classifier(rng.normal(0, 1, (4, 2)), rng.normal(0, 1, 4))
-    probs = predict_softmax(clf, feature)
+    scores = scores_for_labels(clf, copies, np.arange(4))
     best = int(np.argmax(clf.weights @ feature + clf.biases))
-    assert score_for_label(clf, feature, best) == pytest.approx(probs.max())
-    assert sum(score_for_label(clf, feature, lab) for lab in range(4)) == pytest.approx(1.0, abs=1e-12)
+    assert scores[best] == pytest.approx(scores.max())
+    assert scores.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValidationError):
-        score_for_label(clf, feature, 4)
+        scores_for_labels(clf, feature[None, :], [4])
 
 
 def test_dimension_mismatch_rejected():
     clf = uniform_classifier(2, 3)
     with pytest.raises(ValidationError):
-        predict_softmax(clf, np.zeros(4))
+        predict_softmax_many(clf, np.zeros((1, 4)))
 
 
 def brute_force_linear_boundary(features, labels):
@@ -104,7 +104,7 @@ def test_separable_blobs_reach_perfect_training_accuracy(rng):
     features, labels = two_blob_data(rng)
     # independent oracle: some linear boundary separates the sample perfectly
     assert brute_force_linear_boundary(features, labels) == 1.0
-    clf = train_classifier(list(zip(features, labels)), 2,
+    clf = train_classifier(features, labels, 2,
                            ClassifierTrainConfig(epochs=200, seed=7))
     predictions = predict_softmax_many(clf, features).argmax(axis=1)
     assert np.mean(predictions == labels) == 1.0
@@ -112,10 +112,9 @@ def test_separable_blobs_reach_perfect_training_accuracy(rng):
 
 def test_duplicated_dataset_full_batch_equivalence(rng):
     features, labels = two_blob_data(rng, n_per=10)
-    examples = list(zip(features, labels))
     config = ClassifierTrainConfig(epochs=20, batch_size=1000, seed=0)
-    clf_single = train_classifier(examples, 2, config)
-    clf_double = train_classifier(examples + examples, 2, config)
+    clf_single = train_classifier(features, labels, 2, config)
+    clf_double = train_classifier(np.vstack([features, features]), np.tile(labels, 2), 2, config)
     # full-batch means are identical up to summation order
     np.testing.assert_allclose(clf_single.weights, clf_double.weights, atol=1e-12)
     np.testing.assert_allclose(clf_single.biases, clf_double.biases, atol=1e-12)
@@ -152,27 +151,27 @@ def test_gradient_matches_central_differences():
 
 def test_training_is_bitwise_deterministic(rng):
     features, labels = two_blob_data(rng, n_per=20)
-    examples = list(zip(features, labels))
     config = ClassifierTrainConfig(epochs=30, batch_size=8, seed=123)
-    a = train_classifier(examples, 2, config)
-    b = train_classifier(examples, 2, config)
+    a = train_classifier(features, labels, 2, config)
+    b = train_classifier(features, labels, 2, config)
     assert np.array_equal(a.weights, b.weights) and np.array_equal(a.biases, b.biases)
 
 
 def test_l2_penalty_shrinks_parameter_norm(rng):
     features, labels = two_blob_data(rng)
-    examples = list(zip(features, labels))
-    plain = train_classifier(examples, 2, ClassifierTrainConfig(epochs=100, l2_penalty=0.0))
-    shrunk = train_classifier(examples, 2, ClassifierTrainConfig(epochs=100, l2_penalty=0.01))
+    plain = train_classifier(features, labels, 2, ClassifierTrainConfig(epochs=100, l2_penalty=0.0))
+    shrunk = train_classifier(features, labels, 2, ClassifierTrainConfig(epochs=100, l2_penalty=0.01))
     norm = lambda c: np.sqrt(np.sum(c.weights ** 2) + np.sum(c.biases ** 2))
     assert norm(shrunk) < norm(plain)
 
 
 def test_training_input_validation():
     with pytest.raises(ValidationError, match="empty"):
-        train_classifier([], 2, ClassifierTrainConfig())
+        train_classifier(np.zeros((0, 2)), [], 2, ClassifierTrainConfig())
     with pytest.raises(ValidationError, match="label"):
-        train_classifier([(np.zeros(2), 5)], 2, ClassifierTrainConfig())
+        train_classifier(np.zeros((1, 2)), [5], 2, ClassifierTrainConfig())
+    with pytest.raises(ValidationError, match="n labels"):
+        train_classifier(np.zeros((2, 2)), [0], 2, ClassifierTrainConfig())
 
 
 def test_checkpoint_round_trip(tmp_path, rng):
@@ -189,3 +188,12 @@ def test_checkpoint_rejects_other_formats(tmp_path):
     path.write_text('{"format":"something-else","version":1}')
     with pytest.raises(CorpusFormatError):
         load_classifier(path)
+    path.write_text("[]")
+    with pytest.raises(CorpusFormatError, match="JSON object"):
+        load_classifier(path)
+    save_classifier(uniform_classifier(3, 2), path)
+    good = json.loads(path.read_text())
+    for broken in ({k: v for k, v in good.items() if k != "weights"}, dict(good, num_labels=4)):
+        path.write_text(json.dumps(broken))
+        with pytest.raises(CorpusFormatError, match="malformed checkpoint"):
+            load_classifier(path)

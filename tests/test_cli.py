@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import laf
 from laf.cli import main
 from laf.corpus import Interval, load_corpus, save_corpus
 from laf.localization import load_detections, save_detections, Detection
@@ -272,6 +277,51 @@ def test_missing_input_is_exit_code_two(config_path, tmp_path, capsys):
                    "--corpus", str(tmp_path / "absent.jsonl"),
                    "--out", str(tmp_path / "o.jsonl"))
     assert code == 2
+
+
+def malformed_call(case, config_path, tmp_path):
+    """Argv of one CLI call that reads a malformed input file."""
+    corpus_path = synth(config_path, tmp_path)
+    videos = load_corpus(corpus_path).test_videos
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    detections = tmp_path / "det.jsonl"
+    save_detections([], detections)
+    evaluate = ["eval", "--config", config_path, "--corpus", str(corpus_path),
+                "--detections", str(detections), "--out", str(tmp_path / "r.json")]
+    if case == "checkpoint_is_a_list":
+        return ["localize", "--config", config_path, "--checkpoint", str(bad),
+                "--corpus", str(corpus_path), "--out", str(tmp_path / "d.jsonl")]
+    if case == "config_not_utf8":
+        bad.write_bytes(b"\xff\xfe{}")
+        return ["synth", "--config", str(bad), "--out", str(tmp_path / "c.jsonl")]
+    if case.startswith("scores_"):
+        if case == "scores_not_numbers":
+            bad.write_text(json.dumps({v.id: "high" for v in videos}))
+        elif case == "scores_of_unequal_length":
+            bad.write_text(json.dumps({v.id: [0.25] * (4 + i) for i, v in enumerate(videos)}))
+        return evaluate + ["--scores", str(bad)]
+    video = videos[0]
+    if case == "detection_label_out_of_range":
+        save_detections([Detection(video.id, 99, Interval(0, 5), 1.0)], detections)
+    elif case == "detection_past_video_end":
+        save_detections([Detection(video.id, video.label, Interval(0, 5000), 1.0)], detections)
+    return evaluate
+
+
+@pytest.mark.parametrize("case", ["checkpoint_is_a_list", "config_not_utf8", "scores_are_a_list",
+                                  "scores_not_numbers", "scores_of_unequal_length",
+                                  "detection_label_out_of_range", "detection_past_video_end"])
+def test_malformed_input_is_one_error_line(case, config_path, tmp_path):
+    argv = malformed_call(case, config_path, tmp_path)
+    src = str(Path(laf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "laf.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 def test_unwritable_output_is_exit_code_two(config_path, tmp_path):

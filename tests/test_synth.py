@@ -107,11 +107,10 @@ def test_mode_separation_controls_classifier_accuracy():
         spec = dataclasses.replace(SMALL, seed=seed, images_per_action=40,
                                    image_noise_fraction=0.0)
         corpus = generate_corpus(spec)
-        examples = [(img.feature, img.label) for img in corpus.images]
-        clf = train_classifier(examples, corpus.num_labels,
-                               ClassifierTrainConfig(epochs=60, seed=seed))
         features = np.stack([img.feature for img in corpus.images])
         labels = np.asarray([img.label for img in corpus.images])
+        clf = train_classifier(features, labels, corpus.num_labels,
+                               ClassifierTrainConfig(epochs=60, seed=seed))
         accuracy = np.mean(predict_softmax_many(clf, features).argmax(axis=1) == labels)
         assert accuracy >= 0.95
 

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from laf.classifier import Classifier, ClassifierTrainConfig, train_classifier
-from laf.corpus import Interval
 from laf.errors import TransferCollapseError, ValidationError
 from laf.synth import SynthSpec, generate_corpus, image_pool_purity
-from laf.transfer import (TransferConfig, filter_items, initialize_frame_set,
-                          laf_scores_for_video, run_domain_transfer, shot_laf_scores,
-                          validation_accuracy)
+from laf.transfer import (TransferConfig, filter_scores, initialize_frame_set,
+                          laf_scores_for_video, run_domain_transfer, validation_accuracy)
 
 from conftest import make_video
 
@@ -38,28 +36,27 @@ def transfer_config(**overrides):
 
 def test_initial_sample_saturates_to_all_frames():
     corpus = small_corpus()
-    items = initialize_frame_set(corpus.train_videos, frames_per_video=100, seed=1)
-    assert len(items) == sum(v.num_steps for v in corpus.train_videos)
-    by_video = {}
-    for item in items:
-        by_video.setdefault(item.video_id, []).append(item.step)
-    for video in corpus.train_videos:
-        assert by_video[video.id] == list(range(video.num_steps))
+    rows = initialize_frame_set(corpus.train_videos, frames_per_video=100, seed=1)
+    assert len(rows) == sum(v.num_steps for v in corpus.train_videos)
+    for index, video in enumerate(corpus.train_videos):
+        assert rows[rows[:, 0] == index, 1].tolist() == list(range(video.num_steps))
 
 
 def test_initial_sample_counts_one_per_video():
     corpus = small_corpus()
-    items = initialize_frame_set(corpus.train_videos, frames_per_video=1, seed=1)
-    assert len(items) == len(corpus.train_videos)
+    rows = initialize_frame_set(corpus.train_videos, frames_per_video=1, seed=1)
+    assert len(rows) == len(corpus.train_videos)
 
 
 def test_initial_sample_deterministic_and_labeled():
     corpus = small_corpus()
     a = initialize_frame_set(corpus.train_videos, 4, seed=9)
     b = initialize_frame_set(corpus.train_videos, 4, seed=9)
-    assert [(x.video_id, x.step, x.label) for x in a] == [(y.video_id, y.step, y.label) for y in b]
-    labels = {v.id: v.label for v in corpus.train_videos}
-    assert all(item.label == labels[item.video_id] for item in a)
+    assert np.array_equal(a, b)
+    # every row names a step of a training video, so it carries that video's label
+    assert a.shape == (4 * len(corpus.train_videos), 2)
+    for index, step in a:
+        assert 0 <= step < corpus.train_videos[index].num_steps
     with pytest.raises(ValidationError):
         initialize_frame_set([], 4, seed=0)
 
@@ -71,51 +68,47 @@ def score_classifier():
     return Classifier(np.array([[1.0], [0.0]]), np.zeros(2))
 
 
-def item(p):
-    # feature such that the label-0 score is exactly p
-    return (np.array([math.log(p / (1 - p))]), 0)
+def features_scoring(*probs):
+    # features whose label-0 scores are exactly probs
+    return np.array([[math.log(p / (1 - p))] for p in probs])
+
+
+def kept(features, theta, floor, labels=None):
+    labels = np.zeros(len(features), dtype=int) if labels is None else np.asarray(labels)
+    keep, _ = filter_scores(features, labels, score_classifier(), theta, floor)
+    return np.flatnonzero(keep).tolist()
 
 
 def test_filter_keeps_everything_at_theta_zero():
-    items = [item(0.6), item(0.3), item(0.1)]
-    kept = filter_items(items, score_classifier(), theta=0.0, min_items_per_label=0)
-    assert kept == items  # softmax scores are strictly positive
+    # softmax scores are strictly positive
+    assert kept(features_scoring(0.6, 0.3, 0.1), theta=0.0, floor=0) == [0, 1, 2]
 
 
 def test_filter_drops_everything_at_theta_one():
-    items = [item(0.6), item(0.3), item(0.1)]
-    assert filter_items(items, score_classifier(), theta=1.0, min_items_per_label=0) == []
+    assert kept(features_scoring(0.6, 0.3, 0.1), theta=1.0, floor=0) == []
 
 
 def test_filter_retains_only_items_above_threshold():
     # constructed scores 0.6 / 0.3 / 0.1 against theta 0.5
-    items = [item(0.6), item(0.3), item(0.1)]
-    clf = score_classifier()
-    from laf.classifier import score_for_label
-    np.testing.assert_allclose([score_for_label(clf, f, lab) for f, lab in items],
-                               [0.6, 0.3, 0.1], atol=1e-12)
-    kept = filter_items(items, clf, theta=0.5, min_items_per_label=0)
-    assert kept == items[:1]
+    features = features_scoring(0.6, 0.3, 0.1)
+    keep, scores = filter_scores(features, np.zeros(3, dtype=int), score_classifier(), 0.5, 0)
+    np.testing.assert_allclose(scores, [0.6, 0.3, 0.1], atol=1e-12)
+    assert keep.tolist() == [True, False, False]
 
 
 def test_filter_floor_rescues_top_scoring_items():
-    items = [item(0.6), item(0.3), item(0.1)]
-    kept = filter_items(items, score_classifier(), theta=0.99, min_items_per_label=2)
-    assert kept == [items[0], items[1]]  # top two by score, original order
+    # top two by score, original order
+    assert kept(features_scoring(0.6, 0.3, 0.1), theta=0.99, floor=2) == [0, 1]
 
 
 def test_filter_floor_is_per_label():
-    clf = score_classifier()
-    items = [item(0.6), (np.array([math.log(0.2 / 0.8)]), 1), item(0.1)]
     # label-1 item scores 0.8; label-0 items score 0.6 and 0.1
-    kept = filter_items(items, clf, theta=0.7, min_items_per_label=1)
-    assert kept == [items[0], items[1]]
+    features = features_scoring(0.6, 0.2, 0.1)
+    assert kept(features, theta=0.7, floor=1, labels=[0, 1, 0]) == [0, 1]
 
 
 def test_filter_preserves_order():
-    items = [item(0.9), item(0.55), item(0.8), item(0.2)]
-    kept = filter_items(items, score_classifier(), theta=0.5, min_items_per_label=0)
-    assert kept == [items[0], items[1], items[2]]
+    assert kept(features_scoring(0.9, 0.55, 0.8, 0.2), theta=0.5, floor=0) == [0, 1, 2]
 
 
 # --- validation accuracy ----------------------------------------------------
@@ -158,21 +151,6 @@ def test_laf_scores_lie_in_open_unit_interval(rng):
     assert np.all(scores > 0) and np.all(scores < 1)
 
 
-def test_shot_scores_average_within_tiling_shots():
-    weights = np.array([0.2, 0.4, 0.6, 0.8])
-    np.testing.assert_allclose(shot_laf_scores(weights, [Interval(0, 2), Interval(2, 4)]),
-                               [0.3, 0.7])
-    np.testing.assert_allclose(shot_laf_scores(weights, [Interval(0, 4)]), [0.5])
-    np.testing.assert_allclose(shot_laf_scores(weights, [Interval(i, i + 1) for i in range(4)]),
-                               weights)
-    with pytest.raises(ValidationError):
-        shot_laf_scores(weights, [Interval(0, 2), Interval(3, 4)])  # gap
-    with pytest.raises(ValidationError):
-        shot_laf_scores(weights, [Interval(0, 3)])  # does not cover the video
-    with pytest.raises(ValidationError):
-        Interval(2, 2)  # empty shots are unrepresentable
-
-
 # --- the transfer loop ------------------------------------------------------
 
 def test_single_iteration_structure():
@@ -181,8 +159,9 @@ def test_single_iteration_structure():
     assert len(result.log) == 1
     assert len(result.validation_history) == 1
     # the proposal model is the classifier retrained on the once-filtered pool
-    examples = [(img.feature, img.label) for img in result.image_pool]
-    retrained = train_classifier(examples, corpus.num_labels, FAST_CLF)
+    retrained = train_classifier(np.stack([img.feature for img in result.image_pool]),
+                                 [img.label for img in result.image_pool], corpus.num_labels,
+                                 FAST_CLF)
     assert np.array_equal(retrained.weights, result.proposal_model.weights)
 
 
@@ -234,8 +213,9 @@ def test_best_iteration_model_is_returned():
     history = result.validation_history
     assert history and max(history) == history[int(np.argmax(history))]
     # the returned model must equal a from-scratch train on the stored pool
-    examples = [(img.feature, img.label) for img in result.image_pool]
-    retrained = train_classifier(examples, corpus.num_labels, FAST_CLF)
+    retrained = train_classifier(np.stack([img.feature for img in result.image_pool]),
+                                 [img.label for img in result.image_pool], corpus.num_labels,
+                                 FAST_CLF)
     assert np.array_equal(retrained.weights, result.proposal_model.weights)
     assert np.array_equal(retrained.biases, result.proposal_model.biases)
 
