@@ -106,30 +106,26 @@ class LstmState:
     r: np.ndarray  # projected recurrent activation (proj_dim,)
 
 
-@dataclass(eq=False)
-class StepTrace:
-    """Per-step cache consumed by the backward pass."""
+class SequenceTrace:
+    """One forward pass's activations, one row per step; the backward pass reads it.
 
-    x: np.ndarray
-    prev_c: np.ndarray
-    prev_r: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray   # tanh block input
-    c: np.ndarray
-    hc: np.ndarray  # tanh(c)
-    o: np.ndarray
-    m: np.ndarray
-    r: np.ndarray
-    y: np.ndarray
+    The (T+1)-row state arrays hold the start state in row 0: ``c``/``r`` view
+    rows 1..T and ``prev_c``/``prev_r`` rows 0..T-1. ``i, f, g, o`` view the
+    (T, 4C) ``gates`` array (``g`` is the tanh block input).
+    """
+
+    def __init__(self, x, states_c, states_r, gates, hc, m, y):
+        self.x, self.gates, self.hc, self.m, self.y = x, gates, hc, m, y
+        self.prev_c, self.c = states_c[:-1], states_c[1:]
+        self.prev_r, self.r = states_r[:-1], states_r[1:]
+        self.i, self.f, self.g, self.o = np.split(gates, 4, axis=1)
+
+    def __len__(self) -> int:
+        return len(self.x)
 
 
 def zero_state(model: LstmModel) -> LstmState:
     return LstmState(c=np.zeros(model.num_cells), r=np.zeros(model.proj_dim))
-
-
-def zero_grads(model: LstmModel) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(getattr(model, name)) for name in PARAM_FIELDS}
 
 
 def init_model(input_dim: int, num_cells: int, proj_dim: int, num_labels: int,
@@ -142,38 +138,55 @@ def init_model(input_dim: int, num_cells: int, proj_dim: int, num_labels: int,
     return LstmModel(input_dim, num_cells, proj_dim, num_labels, **params)
 
 
-def lstm_step(model: LstmModel, x: np.ndarray, state: LstmState) -> tuple[LstmState, np.ndarray, StepTrace]:
+def _stacked(model: LstmModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Input weights (4C, d), recurrent weights (4C, P) and biases (4C), gates in i, f, g, o order."""
+    return (np.concatenate([model.w_ix, model.w_fx, model.w_cx, model.w_ox]),
+            np.concatenate([model.w_ir, model.w_rf, model.w_cr, model.w_or]),
+            np.concatenate([model.b_i, model.b_f, model.b_c, model.b_o]))
+
+
+def lstm_step(model: LstmModel, x: np.ndarray, state: LstmState) -> tuple[LstmState, np.ndarray, SequenceTrace]:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.input_dim,):
         raise ValidationError(f"input shape {x.shape} != ({model.input_dim},)")
-    prev_c, prev_r = state.c, state.r
-    i = sigmoid(model.w_ix @ x + model.w_ir @ prev_r + model.w_ic * prev_c + model.b_i)
-    f = sigmoid(model.w_fx @ x + model.w_rf @ prev_r + model.w_cf * prev_c + model.b_f)
-    g = np.tanh(model.w_cx @ x + model.w_cr @ prev_r + model.b_c)
-    c = f * prev_c + i * g
-    o = sigmoid(model.w_ox @ x + model.w_or @ prev_r + model.w_oc * c + model.b_o)
-    hc = np.tanh(c)
-    m = o * hc
-    r = model.w_rm @ m
-    y = model.w_yr @ r + model.b_y
-    trace = StepTrace(x=x, prev_c=prev_c, prev_r=prev_r, i=i, f=f, g=g, c=c, hc=hc, o=o, m=m, r=r, y=y)
-    return LstmState(c=c, r=r), y, trace
+    logits, _, trace = lstm_forward(model, x[None, :], state)
+    return LstmState(c=trace.c[0], r=trace.r[0]), logits[0], trace
 
 
-def lstm_forward(model: LstmModel, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[StepTrace]]:
-    """Run a whole sequence from the zero state; returns logits, softmax, traces."""
+def lstm_forward(model: LstmModel, frames: np.ndarray,
+                 state: LstmState | None = None) -> tuple[np.ndarray, np.ndarray, SequenceTrace]:
+    """Run a sequence from ``state`` (default: zero); returns logits, softmax and the trace.
+
+    The input product of every step is one matrix product before the time
+    loop; each step then adds one recurrent product and does elementwise work.
+    """
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[0] < 1:
-        raise ValidationError(f"frames must be a (T>=1, d) matrix, got {frames.shape}")
-    state = zero_state(model)
-    steps = frames.shape[0]
-    logits = np.empty((steps, model.num_labels))
-    traces: list[StepTrace] = []
-    for t in range(steps):
-        state, y, trace = lstm_step(model, frames[t], state)
-        logits[t] = y
-        traces.append(trace)
-    return logits, softmax(logits, axis=1), traces
+    if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] != model.input_dim:
+        raise ValidationError(f"frames must be a (T>=1, {model.input_dim}) matrix, got {frames.shape}")
+    start = zero_state(model) if state is None else state
+    steps, cells = frames.shape[0], model.num_cells
+    w_x, w_r, bias = _stacked(model)
+    gates = frames @ w_x.T + bias  # pre-activations, activated in place row by row
+    c, r = np.empty((steps + 1, cells)), np.empty((steps + 1, model.proj_dim))
+    c[0], r[0] = start.c, start.r
+    hc, m = np.empty((2, steps, cells))
+    peep_if, w_oc, w_rm = np.stack([model.w_ic, model.w_cf]), model.w_oc, model.w_rm
+    # Iterating row views keeps indexing out of the loop; z is the step's (4, C) gate block.
+    for z, c0, c1, r0, r1, h, mt in zip(gates.reshape(steps, 4, cells), c[:-1], c[1:],
+                                        r[:-1], r[1:], hc, m):
+        z += np.dot(w_r, r0).reshape(4, cells)
+        z[:2] += peep_if * c0
+        z[:2] = sigmoid(z[:2])
+        i, f, g, o = z
+        np.tanh(g, out=g)
+        np.multiply(f, c0, out=c1)
+        c1 += i * g
+        o[:] = sigmoid(o + w_oc * c1)
+        np.tanh(c1, out=h)
+        np.multiply(o, h, out=mt)
+        np.dot(w_rm, mt, out=r1)
+    y = r[1:] @ model.w_yr.T + model.b_y
+    return y, softmax(y, axis=1), SequenceTrace(frames, c, r, gates, hc, m, y)
 
 
 def weighted_sequence_loss(probs: np.ndarray, label: int, weights: np.ndarray,
@@ -189,23 +202,18 @@ def weighted_sequence_loss(probs: np.ndarray, label: int, weights: np.ndarray,
     return float(np.sum(effective * -np.log(probs[:, label])))
 
 
-def _shift_down(rows: np.ndarray) -> np.ndarray:
-    """Age the per-source error carriers by one step; the oldest row retires."""
-    out = np.zeros_like(rows)
-    out[1:] = rows[:-1]
-    return out
-
-
-def lstm_backward(model: LstmModel, traces: Sequence[StepTrace], label: int, weights: np.ndarray,
+def lstm_backward(model: LstmModel, trace: SequenceTrace, label: int, weights: np.ndarray,
                   unroll_k: int | None = None, weight_floor: float = 0.0) -> dict[str, np.ndarray]:
     """Gradients of :func:`weighted_sequence_loss` wrt every parameter.
 
     ``unroll_k`` truncates error flow: the loss at step t reaches parameters
     only at steps max(0, t - unroll_k + 1) .. t. ``None`` (or any value >= T)
     selects plain full BPTT. Each live error source is kept in its own carrier
-    row so it can retire exactly ``unroll_k`` steps after injection.
+    row of a ring of ``unroll_k`` slots, so it retires exactly ``unroll_k``
+    steps after injection. The loop records per-step sums of the gate errors
+    and of the projection error; weight gradients are matrix products after it.
     """
-    steps = len(traces)
+    steps = len(trace)
     if steps == 0:
         raise ValidationError("backward pass needs at least one step")
     weights = np.asarray(weights, dtype=np.float64)
@@ -217,61 +225,50 @@ def lstm_backward(model: LstmModel, traces: Sequence[StepTrace], label: int, wei
     if truncate and unroll_k < 1:
         raise ValidationError("unroll_k must be >= 1")
     rows = unroll_k if truncate else 1
+    cells = model.num_cells
+    _, w_r, _ = _stacked(model)
 
-    grads = zero_grads(model)
-    dc = np.zeros((rows, model.num_cells))
-    dr = np.zeros((rows, model.proj_dim))
-    onehot = np.zeros(model.num_labels)
-    onehot[label] = 1.0
+    # Loss error of every step, and what it injects into r_t.
+    dy = softmax(trace.y, axis=1)
+    dy[:, label] -= 1.0
+    dy *= effective[:, None]
+    inject = dy @ model.w_yr
 
+    # Per-step derivative factors: gate errors are carrier errors times these.
+    i, f, g, o, hc = trace.i, trace.f, trace.g, trace.o, trace.hc
+    d_o = hc * o * (1.0 - o)                               # ds_o = dm * d_o
+    d_cell = o * (1.0 - hc ** 2) + d_o * model.w_oc        # dcell = dc + dm * d_cell
+    d_ifg = np.stack([g * i * (1.0 - i), trace.prev_c * f * (1.0 - f), i * (1.0 - g ** 2)], axis=1)
+    d_carry = f + d_ifg[:, 0] * model.w_ic + d_ifg[:, 1] * model.w_cf  # dc_{t-1} = dcell * d_carry
+
+    gate_sums = np.empty((steps, 4, cells))
+    dr_sums = np.empty((steps, model.proj_dim))
+    dc, dr = np.zeros((rows, cells)), np.zeros((rows, model.proj_dim))
+    ds = np.empty((rows, 4, cells))  # this step's gate errors, one row per live source
+    ds_ifg, ds_o, ds_rows, w_rm = ds[:, :3], ds[:, 3], ds.reshape(rows, -1), model.w_rm
     for t in reversed(range(steps)):
-        tr = traces[t]
-        if truncate:
-            dc = _shift_down(dc)
-            dr = _shift_down(dr)
+        if truncate:  # slot t % k held the source injected k steps later: it retires
+            slot = t % rows
+            dc[slot] = 0.0
+            dr[slot] = inject[t]
+        else:
+            dr[0] += inject[t]
+        dm = np.dot(dr, w_rm)
+        dcell = dc + dm * d_cell[t]
+        np.multiply(dcell[:, None, :], d_ifg[t], out=ds_ifg)
+        np.multiply(dm, d_o[t], out=ds_o)
+        np.add.reduce(ds, axis=0, out=gate_sums[t])
+        np.add.reduce(dr, axis=0, out=dr_sums[t])
+        dc = dcell * d_carry[t]
+        dr = np.dot(ds_rows, w_r)
 
-        # Inject this step's loss error (row 0 is the age-0 source).
-        dy = effective[t] * (softmax(tr.y) - onehot)
-        grads["w_yr"] += np.outer(dy, tr.r)
-        grads["b_y"] += dy
-        dr[0] += model.w_yr.T @ dy
-
-        # Projection and output gate.
-        dm = dr @ model.w_rm
-        grads["w_rm"] += np.outer(dr.sum(axis=0), tr.m)
-        ds_o = (dm * tr.hc) * tr.o * (1.0 - tr.o)
-        dcell = dc + dm * tr.o * (1.0 - tr.hc ** 2) + ds_o * model.w_oc
-
-        # Cell recurrence and the remaining gates.
-        ds_i = (dcell * tr.g) * tr.i * (1.0 - tr.i)
-        ds_f = (dcell * tr.prev_c) * tr.f * (1.0 - tr.f)
-        ds_c = (dcell * tr.i) * (1.0 - tr.g ** 2)
-
-        sum_o = ds_o.sum(axis=0)
-        sum_i = ds_i.sum(axis=0)
-        sum_f = ds_f.sum(axis=0)
-        sum_c = ds_c.sum(axis=0)
-        grads["w_ox"] += np.outer(sum_o, tr.x)
-        grads["w_or"] += np.outer(sum_o, tr.prev_r)
-        grads["w_oc"] += sum_o * tr.c
-        grads["b_o"] += sum_o
-        grads["w_ix"] += np.outer(sum_i, tr.x)
-        grads["w_ir"] += np.outer(sum_i, tr.prev_r)
-        grads["w_ic"] += sum_i * tr.prev_c
-        grads["b_i"] += sum_i
-        grads["w_fx"] += np.outer(sum_f, tr.x)
-        grads["w_rf"] += np.outer(sum_f, tr.prev_r)
-        grads["w_cf"] += sum_f * tr.prev_c
-        grads["b_f"] += sum_f
-        grads["w_cx"] += np.outer(sum_c, tr.x)
-        grads["w_cr"] += np.outer(sum_c, tr.prev_r)
-        grads["b_c"] += sum_c
-
-        # Carriers entering step t-1.
-        dc = dcell * tr.f + ds_f * model.w_cf + ds_i * model.w_ic
-        dr = ds_i @ model.w_ir + ds_f @ model.w_rf + ds_c @ model.w_cr + ds_o @ model.w_or
-
-    return grads
+    sums = gate_sums.reshape(steps, 4 * cells)
+    s_i, s_f, _, s_o = np.split(sums, 4, axis=1)
+    values = [*np.split(sums.T @ trace.x, 4), *np.split(sums.T @ trace.prev_r, 4),
+              (s_i * trace.prev_c).sum(axis=0), (s_f * trace.prev_c).sum(axis=0),
+              (s_o * trace.c).sum(axis=0), *np.split(sums.sum(axis=0), 4),
+              dr_sums.T @ trace.m, dy.T @ trace.r, dy.sum(axis=0)]
+    return dict(zip(PARAM_FIELDS, values))
 
 
 @dataclass(frozen=True)
@@ -303,21 +300,16 @@ class LstmTrainConfig:
             raise ValidationError("init_scale must be positive")
 
 
-def _clip_global_norm(grads: dict[str, np.ndarray], clip: float) -> None:
-    total = np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values()))
-    if total > clip:
-        scale = clip / total
-        for g in grads.values():
-            g *= scale
-
-
+@np.errstate(over="ignore", invalid="ignore")  # the divergence check reports non-finite values
 def train_lstm(train_videos: Sequence[VideoSequence], config: LstmTrainConfig, num_labels: int,
                feature_dim: int) -> tuple[LstmModel, list[float]]:
     """Seeded mini-batch SGD over videos; returns the model and per-epoch mean losses.
 
     Every video must carry laf_weights (use all-ones for unweighted training).
     Batches accumulate video gradients in index order and average them; the
-    learning rate is multiplied by lr_decay after each epoch.
+    learning rate is multiplied by lr_decay after each epoch. The first batch
+    whose loss or gradient norm is not finite raises ``ValidationError``
+    naming its (1-based) epoch and batch, before its update is applied.
     """
     if not train_videos:
         raise ValidationError("cannot train on an empty video list")
@@ -328,28 +320,35 @@ def train_lstm(train_videos: Sequence[VideoSequence], config: LstmTrainConfig, n
     model = init_model(feature_dim, config.num_cells, config.proj_dim, num_labels,
                        config.init_scale, config.seed)
     rng = np.random.default_rng(config.seed)
+    clip = config.gradient_clip
     epoch_losses: list[float] = []
     count = len(train_videos)
     for epoch in range(config.epochs):
         lr = config.learning_rate * config.lr_decay ** epoch
         order = rng.permutation(count)
         total_loss = 0.0
-        for start in range(0, count, config.batch_size):
+        for batch_number, start in enumerate(range(0, count, config.batch_size), 1):
             batch = order[start:start + config.batch_size]
-            grads = zero_grads(model)
+            grads = {name: np.zeros_like(getattr(model, name)) for name in PARAM_FIELDS}
             for index in batch:
                 video = train_videos[index]
-                _, probs, traces = lstm_forward(model, video.frames)
+                _, probs, trace = lstm_forward(model, video.frames)
                 total_loss += weighted_sequence_loss(probs, video.label, video.laf_weights,
                                                      config.weight_floor_epsilon)
-                video_grads = lstm_backward(model, traces, video.label, video.laf_weights,
+                video_grads = lstm_backward(model, trace, video.label, video.laf_weights,
                                             config.unroll_k, config.weight_floor_epsilon)
                 for name in PARAM_FIELDS:
                     grads[name] += video_grads[name]
             for name in PARAM_FIELDS:
                 grads[name] /= len(batch)
-            if config.gradient_clip is not None:
-                _clip_global_norm(grads, config.gradient_clip)
+            norm = np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values()))
+            if not (np.isfinite(total_loss) and np.isfinite(norm)):
+                raise ValidationError(f"training diverged at epoch {epoch + 1}, batch {batch_number}: "
+                                      f"epoch loss so far {total_loss}, gradient norm {norm}")
+            if clip is not None and norm > clip:
+                scale = clip / norm
+                for g in grads.values():
+                    g *= scale
             for name in PARAM_FIELDS:
                 getattr(model, name)[...] -= lr * grads[name]
         epoch_losses.append(total_loss / count)

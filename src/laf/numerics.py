@@ -18,10 +18,10 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function evaluated without overflow on either tail."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function evaluated without overflow on either tail.
+
+    Equals 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) for x < 0,
+    bit for bit: with e = exp(-|x|) the first is 1 / (1 + e), the second e / (1 + e).
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)

@@ -120,6 +120,10 @@ def stage_eval(config: RunConfig, detections_path: str | Path, corpus_path: str 
 
 def run_pipeline(config: RunConfig, out_dir: str | Path, mode: str | None = None) -> dict:
     """Chain all five stages inside ``out_dir`` using the configured file names."""
+    top_k = max(config.eval.hit_ks)
+    if top_k > config.synth.num_labels:  # fail before any stage runs, not after training
+        raise ValidationError(f"eval.hit_ks asks for k={top_k}, but the synth corpus has only "
+                              f"{config.synth.num_labels} labels")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = config.paths

@@ -309,11 +309,8 @@ def malformed_call(case, config_path, tmp_path):
     return evaluate
 
 
-@pytest.mark.parametrize("case", ["checkpoint_is_a_list", "config_not_utf8", "scores_are_a_list",
-                                  "scores_not_numbers", "scores_of_unequal_length",
-                                  "detection_label_out_of_range", "detection_past_video_end"])
-def test_malformed_input_is_one_error_line(case, config_path, tmp_path):
-    argv = malformed_call(case, config_path, tmp_path)
+def assert_one_error_line(argv):
+    """Run the CLI in a fresh process: exit 1, one `error:` line on stderr, no traceback."""
     src = str(Path(laf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "laf.cli", *argv], capture_output=True,
@@ -322,6 +319,36 @@ def test_malformed_input_is_one_error_line(case, config_path, tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    return lines[0]
+
+
+@pytest.mark.parametrize("case", ["checkpoint_is_a_list", "config_not_utf8", "scores_are_a_list",
+                                  "scores_not_numbers", "scores_of_unequal_length",
+                                  "detection_label_out_of_range", "detection_past_video_end"])
+def test_malformed_input_is_one_error_line(case, config_path, tmp_path):
+    assert_one_error_line(malformed_call(case, config_path, tmp_path))
+
+
+def test_diverging_training_is_one_error_line_and_writes_nothing(config_path, tmp_path):
+    corpus_path = synth(config_path, tmp_path)
+    config = dict(TINY, lstm=dict(TINY["lstm"], learning_rate=1e300, gradient_clip=None))
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "m.json"
+    line = assert_one_error_line(["train", "--config", str(path), "--corpus", str(corpus_path),
+                                  "--mode", "uniform", "--out", str(out)])
+    assert "diverged at epoch" in line and "batch" in line
+    assert not out.exists() and not (tmp_path / "m.json.losses.json").exists()
+
+
+def test_pipeline_rejects_hit_k_above_label_count_before_any_stage(tmp_path):
+    config = dict(TINY, eval=dict(TINY["eval"], hit_ks=[1, 5]))  # the corpus has 4 labels
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "run"
+    line = assert_one_error_line(["pipeline", "--config", str(path), "--out-dir", str(out_dir)])
+    assert "k=5" in line
+    assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 def test_unwritable_output_is_exit_code_two(config_path, tmp_path):

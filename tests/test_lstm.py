@@ -10,7 +10,7 @@ from laf.errors import CorpusFormatError, ValidationError
 from laf.lstm import (PARAM_FIELDS, LstmModel, LstmState, LstmTrainConfig, init_model,
                       load_lstm, lstm_backward, lstm_forward, lstm_step, param_shapes,
                       save_lstm, train_lstm, weighted_sequence_loss, zero_state)
-from laf.numerics import softmax
+from laf.numerics import sigmoid, softmax
 from laf.synth import SynthSpec, generate_corpus
 
 from oracles import reference_lstm_step
@@ -101,6 +101,19 @@ def test_step_rejects_wrong_input_dim():
         lstm_step(model, np.zeros(3), zero_state(model))
 
 
+def test_sigmoid_is_bitwise_the_stable_tail_formula():
+    special = [0.0, 1e-300, 36.0, 745.0, np.inf]
+    x = np.array(special + [-v for v in special[1:]]
+                 + list(np.random.default_rng(0).normal(0, 30, 1000)))
+    out = sigmoid(x)
+    pos, neg = x >= 0, x < 0
+    expected_pos = 1.0 / (1.0 + np.exp(-x[pos]))
+    expected_neg = np.exp(x[neg]) / (1.0 + np.exp(x[neg]))
+    assert out[pos].tobytes() == expected_pos.tobytes()
+    assert out[neg].tobytes() == expected_neg.tobytes()
+    assert out[0] == 0.5 and out[4] == 1.0 and out[-1001] == 0.0
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_gate_ranges(seed):
@@ -116,14 +129,43 @@ def test_gate_ranges(seed):
 
 # --- forward ----------------------------------------------------------------
 
+def test_forward_matches_looped_reference_step():
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        steps = int(rng.integers(2, 30))
+        model = random_model(seed, d=3, nc=4, nr=3, nl=3, scale=0.8)
+        frames = rng.normal(0, 1, (steps, 3))
+        logits, _, trace = lstm_forward(model, frames)
+        c, r = np.zeros(4), np.zeros(3)
+        for t in range(steps):
+            c, r, y = reference_lstm_step(model, frames[t], c, r)
+            np.testing.assert_allclose(logits[t], y, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(trace.c[t], c, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(trace.r[t], r, atol=1e-12, rtol=0)
+
+
+def test_forward_from_a_state_continues_the_sequence():
+    model = random_model(6, scale=0.8)
+    frames = np.random.default_rng(6).normal(0, 1, (9, 2))
+    logits, _, trace = lstm_forward(model, frames)
+    tail, _, tail_trace = lstm_forward(model, frames[4:], LstmState(c=trace.c[3], r=trace.r[3]))
+    np.testing.assert_allclose(tail, logits[4:], atol=1e-12, rtol=0)
+    np.testing.assert_array_equal(tail_trace.prev_c[0], trace.c[3])
+
+
+def test_forward_rejects_wrong_frame_dim():
+    with pytest.raises(ValidationError, match="matrix"):
+        lstm_forward(zero_model(d=2), np.zeros((4, 3)))
+
+
 def test_forward_single_step_equals_step_from_zero_state():
     model = random_model(3)
     frame = np.array([0.4, -1.2])
-    logits, probs, traces = lstm_forward(model, frame[None, :])
+    logits, probs, trace = lstm_forward(model, frame[None, :])
     state, y, _ = lstm_step(model, frame, zero_state(model))
     np.testing.assert_array_equal(logits[0], y)
     np.testing.assert_allclose(probs[0], softmax(y))
-    assert len(traces) == 1
+    assert len(trace) == 1
 
 
 def test_zero_model_forward_gives_uniform_softmax():
@@ -178,8 +220,8 @@ def test_loss_rejects_bad_weights():
 def test_zero_weights_give_zero_gradients():
     model = random_model(2)
     frames = np.random.default_rng(2).normal(0, 1, (4, 2))
-    _, _, traces = lstm_forward(model, frames)
-    grads = lstm_backward(model, traces, 1, np.zeros(4))
+    _, _, trace = lstm_forward(model, frames)
+    grads = lstm_backward(model, trace, 1, np.zeros(4))
     for name in PARAM_FIELDS:
         np.testing.assert_array_equal(grads[name], 0.0)
 
@@ -192,8 +234,8 @@ def test_full_bptt_matches_finite_differences():
         frames = rng.normal(0, 1, (steps, 2))
         label = int(rng.integers(0, 2))
         weights = rng.uniform(0.1, 1.0, steps)
-        _, _, traces = lstm_forward(model, frames)
-        analytic = lstm_backward(model, traces, label, weights)
+        _, _, trace = lstm_forward(model, frames)
+        analytic = lstm_backward(model, trace, label, weights)
         numeric = finite_difference_grads(
             lambda m: sequence_loss_of(m, frames, label, weights), model)
         assert max_relative_error(analytic, numeric) < 1e-5
@@ -203,8 +245,8 @@ def test_weight_floor_enters_gradients():
     model = random_model(4)
     frames = np.random.default_rng(4).normal(0, 1, (3, 2))
     weights = np.array([0.0, 0.5, 0.0])
-    _, _, traces = lstm_forward(model, frames)
-    analytic = lstm_backward(model, traces, 0, weights, weight_floor=0.2)
+    _, _, trace = lstm_forward(model, frames)
+    analytic = lstm_backward(model, trace, 0, weights, weight_floor=0.2)
     numeric = finite_difference_grads(
         lambda m: sequence_loss_of(m, frames, 0, weights, floor=0.2), model)
     assert max_relative_error(analytic, numeric) < 1e-5
@@ -214,10 +256,10 @@ def test_truncation_at_sequence_length_is_bitwise_full_bptt():
     model = random_model(8)
     frames = np.random.default_rng(8).normal(0, 1, (6, 2))
     weights = np.random.default_rng(9).uniform(0, 1, 6)
-    _, _, traces = lstm_forward(model, frames)
-    full = lstm_backward(model, traces, 1, weights, None)
-    at_t = lstm_backward(model, traces, 1, weights, 6)
-    beyond = lstm_backward(model, traces, 1, weights, 1000)
+    _, _, trace = lstm_forward(model, frames)
+    full = lstm_backward(model, trace, 1, weights, None)
+    at_t = lstm_backward(model, trace, 1, weights, 6)
+    beyond = lstm_backward(model, trace, 1, weights, 1000)
     for name in PARAM_FIELDS:
         assert np.array_equal(full[name], at_t[name])
         assert np.array_equal(full[name], beyond[name])
@@ -229,15 +271,15 @@ def test_unroll_one_matches_detached_recurrence_surrogate():
     frames = rng.normal(0, 1, (5, 2))
     label = 1
     weights = rng.uniform(0.1, 1.0, 5)
-    _, _, traces = lstm_forward(model, frames)
-    analytic = lstm_backward(model, traces, label, weights, unroll_k=1)
+    _, _, trace = lstm_forward(model, frames)
+    analytic = lstm_backward(model, trace, label, weights, unroll_k=1)
 
     def detached_loss(m):
         # prev states frozen at the unperturbed forward values: exactly the
         # computation a one-step error horizon differentiates
         total = 0.0
-        for t, trace in enumerate(traces):
-            _, y, _ = lstm_step(m, frames[t], LstmState(c=trace.prev_c, r=trace.prev_r))
+        for t in range(len(trace)):
+            _, y, _ = lstm_step(m, frames[t], LstmState(c=trace.prev_c[t], r=trace.prev_r[t]))
             total += weights[t] * -math.log(softmax(y)[label])
         return total
 
@@ -255,20 +297,17 @@ def test_truncated_backward_matches_windowed_recomputation():
     frames = rng.normal(0, 1, (steps, 2))
     label = 0
     weights = rng.uniform(0.1, 1.0, steps)
-    _, _, traces = lstm_forward(model, frames)
+    _, _, trace = lstm_forward(model, frames)
     for unroll in (2, 3, 5):
-        staged = lstm_backward(model, traces, label, weights, unroll)
+        staged = lstm_backward(model, trace, label, weights, unroll)
         total = {name: np.zeros_like(getattr(model, name)) for name in PARAM_FIELDS}
         for t in range(steps):
             first = max(0, t - unroll + 1)
-            state = LstmState(c=traces[first].prev_c, r=traces[first].prev_r)
-            window_traces = []
-            for u in range(first, t + 1):
-                state, _, trace = lstm_step(model, frames[u], state)
-                window_traces.append(trace)
+            state = LstmState(c=trace.prev_c[first], r=trace.prev_r[first])
+            _, _, window = lstm_forward(model, frames[first:t + 1], state)
             window_weights = np.zeros(t - first + 1)
             window_weights[-1] = weights[t]
-            partial = lstm_backward(model, window_traces, label, window_weights)
+            partial = lstm_backward(model, window, label, window_weights)
             for name in PARAM_FIELDS:
                 total[name] += partial[name]
         for name in PARAM_FIELDS:
@@ -279,16 +318,16 @@ def test_zero_weight_step_is_ignored_by_loss_and_gradients():
     model = random_model(17)
     frames = np.random.default_rng(17).normal(0, 1, (4, 2))
     weights = np.array([1.0, 0.0, 0.7, 0.4])
-    _, probs, traces = lstm_forward(model, frames)
+    _, probs, trace = lstm_forward(model, frames)
     base_loss = weighted_sequence_loss(probs, 0, weights)
-    base_grads = lstm_backward(model, traces, 0, weights)
+    base_grads = lstm_backward(model, trace, 0, weights)
 
     tampered = probs.copy()
     tampered[1] = [0.99, 0.01]
     assert weighted_sequence_loss(tampered, 0, weights) == base_loss
 
-    traces[1].y = traces[1].y + 5.0  # perturb the zero-weight step's logits
-    tampered_grads = lstm_backward(model, traces, 0, weights)
+    trace.y[1] += 5.0  # perturb the zero-weight step's logits
+    tampered_grads = lstm_backward(model, trace, 0, weights)
     for name in PARAM_FIELDS:
         np.testing.assert_array_equal(base_grads[name], tampered_grads[name])
 
@@ -363,6 +402,13 @@ def test_training_requires_weights_and_videos():
         train_lstm(missing, small_train_config(), corpus.num_labels, corpus.feature_dim)
     with pytest.raises(ValidationError, match="empty"):
         train_lstm([], small_train_config(), corpus.num_labels, corpus.feature_dim)
+
+
+def test_divergence_stops_training_before_the_update():
+    corpus, videos = tiny_training_corpus(videos_per_action=8)
+    config = small_train_config(epochs=3, learning_rate=1e300, gradient_clip=None)
+    with pytest.raises(ValidationError, match=r"diverged at epoch \d+, batch \d+"):
+        train_lstm(videos, config, corpus.num_labels, corpus.feature_dim)
 
 
 def test_gradient_clip_bounds_update_norm():
