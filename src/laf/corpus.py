@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -27,7 +28,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CorpusFormatError, ValidationError
-from .ioutil import atomic_write_text, decode_f64, encode_f64
+from .ioutil import (atomic_write_text, decode_f64, decode_f64_rows, encode_f64, json_floats,
+                     read_json_lines)
 
 CORPUS_FORMAT = "laf-corpus"
 CORPUS_VERSION = 1
@@ -63,6 +65,12 @@ class WebImage:
     feature: np.ndarray
     relevant: bool | None = None
 
+    def __post_init__(self):
+        feature = np.asarray(self.feature, dtype=np.float64)
+        if feature.ndim != 1 or not np.isfinite(feature).all():
+            raise ValidationError(f"image {self.id!r}: feature must be a finite vector, "
+                                  f"got shape {feature.shape}")
+
 
 @dataclass(frozen=True, eq=False)
 class VideoSequence:
@@ -79,6 +87,22 @@ class VideoSequence:
     gt_segments: tuple[Interval, ...] | None = None
     laf_weights: np.ndarray | None = None
 
+    def __post_init__(self):
+        frames = np.asarray(self.frames, dtype=np.float64)
+        if frames.ndim != 2 or frames.shape[0] < 1 or not np.isfinite(frames).all():
+            raise ValidationError(f"video {self.id!r}: frames must be a finite (T>=1, d) matrix, "
+                                  f"got shape {frames.shape}")
+        steps = frames.shape[0]
+        for seg in self.gt_segments or ():
+            if seg.end > steps:
+                raise ValidationError(f"video {self.id!r}: gt segment [{seg.start}, {seg.end}) "
+                                      f"exceeds {steps} steps")
+        if self.laf_weights is not None:
+            weights = np.asarray(self.laf_weights, dtype=np.float64)
+            if weights.shape != (steps,) or not np.all((weights >= 0.0) & (weights <= 1.0)):
+                raise ValidationError(f"video {self.id!r}: laf_weights must be {steps} values "
+                                      f"in [0, 1], got shape {weights.shape}")
+
     @property
     def num_steps(self) -> int:
         return self.frames.shape[0]
@@ -86,6 +110,9 @@ class VideoSequence:
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
+    """Web images plus videos; labels lie in [0, num_labels), every feature has
+    ``feature_dim`` values, and video ids are unique across the splits."""
+
     num_labels: int
     feature_dim: int
     images: tuple[WebImage, ...]
@@ -93,165 +120,108 @@ class Corpus:
     validation_videos: tuple[VideoSequence, ...]
     test_videos: tuple[VideoSequence, ...]
 
+    def __post_init__(self):
+        if self.num_labels < 1 or self.feature_dim < 1:
+            raise ValidationError(f"corpus needs num_labels >= 1 and feature_dim >= 1, "
+                                  f"got {self.num_labels} and {self.feature_dim}")
+        video_ids: set[str] = set()
+        for record in (*self.images, *self.all_videos):
+            self.check_member(record, video_ids)
+
     @property
     def all_videos(self) -> tuple[VideoSequence, ...]:
         return self.train_videos + self.validation_videos + self.test_videos
 
-
-def _check_feature(arr: np.ndarray, dim: int, where: str) -> np.ndarray:
-    if arr.ndim != 1 or arr.shape[0] != dim:
-        raise ValidationError(f"{where}: feature dimension {arr.shape[-1] if arr.ndim else 0} != corpus feature_dim {dim}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{where}: feature contains non-finite values")
-    return arr
-
-
-def _check_label(label, num_labels: int, where: str) -> int:
-    if not isinstance(label, int) or isinstance(label, bool) or not (0 <= label < num_labels):
-        raise ValidationError(f"{where}: label {label!r} outside [0, {num_labels})")
-    return label
-
-
-def validate_corpus(corpus: Corpus) -> None:
-    """Check every type invariant, naming the offending record on failure."""
-    if corpus.num_labels < 1:
-        raise ValidationError("corpus must declare num_labels >= 1")
-    if corpus.feature_dim < 1:
-        raise ValidationError("corpus must declare feature_dim >= 1")
-    for img in corpus.images:
-        where = f"image {img.id!r}"
-        _check_label(int(img.label), corpus.num_labels, where)
-        _check_feature(np.asarray(img.feature), corpus.feature_dim, where)
-    for split in SPLITS:
-        for vid in getattr(corpus, f"{split}_videos"):
-            where = f"video {vid.id!r}"
-            _check_label(int(vid.label), corpus.num_labels, where)
-            frames = np.asarray(vid.frames)
-            if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] != corpus.feature_dim:
-                raise ValidationError(f"{where}: frames must be a (T>=1, {corpus.feature_dim}) matrix, got {frames.shape}")
-            if not np.all(np.isfinite(frames)):
-                raise ValidationError(f"{where}: frames contain non-finite values")
-            steps = frames.shape[0]
-            if vid.gt_segments is not None:
-                for seg in vid.gt_segments:
-                    if seg.end > steps:
-                        raise ValidationError(f"{where}: gt segment [{seg.start}, {seg.end}) exceeds {steps} steps")
-            if vid.laf_weights is not None:
-                w = np.asarray(vid.laf_weights)
-                if w.shape != (steps,):
-                    raise ValidationError(f"{where}: laf_weights length {w.shape} != {steps} steps")
-                if not np.all(np.isfinite(w)) or w.min() < 0.0 or w.max() > 1.0:
-                    raise ValidationError(f"{where}: laf_weights must lie in [0, 1]")
+    def check_member(self, record: WebImage | VideoSequence, video_ids: set[str]) -> None:
+        """Check one record's label and width against the corpus; ``video_ids``
+        holds the ids of the videos checked before it and gains this one."""
+        is_video = isinstance(record, VideoSequence)
+        where = f"{'video' if is_video else 'image'} {record.id!r}"
+        if not isinstance(record.label, numbers.Integral) or isinstance(record.label, bool) \
+                or not 0 <= record.label < self.num_labels:
+            raise ValidationError(f"{where}: label {record.label!r} is not an integer in "
+                                  f"[0, {self.num_labels})")
+        width = np.shape(record.frames)[1] if is_video else np.shape(record.feature)[0]
+        if width != self.feature_dim:
+            raise ValidationError(f"{where}: feature dimension {width} != corpus feature_dim "
+                                  f"{self.feature_dim}")
+        if is_video:
+            if record.id in video_ids:
+                raise ValidationError(f"{where}: duplicate video id")
+            video_ids.add(record.id)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.asarray(arr, dtype=np.float64)
-    if out.base is None and out.flags.owndata:
-        out.setflags(write=False)
-    return out
+HEADER_TYPES = {"format": str, "version": int, "num_labels": int, "feature_dim": int}
+IMAGE_TYPES = {"id": str, "label": None, "feature": str, "relevant": bool}
+VIDEO_TYPES = {"split": str, "id": str, "label": None, "frames": list, "gt_segments": list,
+               "laf_weights": list}
+OPTIONAL_KEYS = ("relevant", "gt_segments", "laf_weights")
 
 
-def _parse_image(rec: dict, num_labels: int, dim: int, where: str) -> WebImage:
-    for key in ("id", "label", "feature"):
-        if key not in rec:
-            raise CorpusFormatError(f"{where}: image record missing {key!r}")
-    label = _check_label(rec["label"], num_labels, where)
-    feature = _check_feature(decode_f64(rec["feature"], where), dim, where)
-    relevant = rec.get("relevant")
-    if relevant is not None and not isinstance(relevant, bool):
-        raise CorpusFormatError(f"{where}: 'relevant' must be a boolean")
-    return WebImage(id=str(rec["id"]), label=label, feature=feature, relevant=relevant)
+def _fields(rec, kind: str, types: dict) -> dict:
+    """The record's values for ``types``: each key present unless optional, each present
+    value of its JSON type (bool is not int; None leaves the value to the record's checks)."""
+    if not isinstance(rec, dict):
+        raise CorpusFormatError(f"{kind} record must be a JSON object")
+    for key, json_type in types.items():
+        if key not in rec and key not in OPTIONAL_KEYS:
+            raise CorpusFormatError(f"{kind} record missing {key!r}")
+        if key in rec and json_type is not None and type(rec[key]) is not json_type:
+            raise CorpusFormatError(f"{kind} record: {key!r} must be a JSON {json_type.__name__}")
+    return {key: rec.get(key) for key in types}
 
 
-def _parse_video(rec: dict, num_labels: int, dim: int, where: str) -> tuple[str, VideoSequence]:
-    for key in ("split", "id", "label", "frames"):
-        if key not in rec:
-            raise CorpusFormatError(f"{where}: video record missing {key!r}")
-    split = rec["split"]
-    if split not in SPLITS:
-        raise CorpusFormatError(f"{where}: unknown split {split!r}")
-    label = _check_label(rec["label"], num_labels, where)
-    raw_frames = rec["frames"]
-    if not isinstance(raw_frames, list) or len(raw_frames) < 1:
-        raise ValidationError(f"{where}: video must have at least one frame")
-    frames = np.stack([_check_feature(decode_f64(f, where), dim, where) for f in raw_frames])
-    steps = frames.shape[0]
+def _parse_header(rec) -> Corpus:
+    header = _fields(rec, "header", HEADER_TYPES)
+    if header["format"] != CORPUS_FORMAT or header["version"] != CORPUS_VERSION:
+        raise CorpusFormatError(f"expected a {CORPUS_FORMAT!r} version {CORPUS_VERSION} header")
+    return Corpus(header["num_labels"], header["feature_dim"], (), (), (), ())
 
-    gt_segments = None
-    if "gt_segments" in rec:
-        segs = []
-        for pair in rec["gt_segments"]:
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise CorpusFormatError(f"{where}: gt segment must be a [start, end] pair")
-            try:
-                seg = Interval(int(pair[0]), int(pair[1]))
-            except ValidationError as exc:
-                raise ValidationError(f"{where}: {exc}") from exc
-            if seg.end > steps:
-                raise ValidationError(f"{where}: gt segment [{seg.start}, {seg.end}) exceeds {steps} steps")
-            segs.append(seg)
-        gt_segments = tuple(segs)
 
-    laf_weights = None
-    if "laf_weights" in rec:
-        w = np.asarray(rec["laf_weights"], dtype=np.float64)
-        if w.shape != (steps,):
-            raise ValidationError(f"{where}: laf_weights length {w.size} != {steps} steps")
-        if not np.all(np.isfinite(w)) or (w.size and (w.min() < 0.0 or w.max() > 1.0)):
-            raise ValidationError(f"{where}: laf_weights must lie in [0, 1]")
-        laf_weights = _freeze(w)
+def _interval(pair) -> Interval:
+    if not (type(pair) is list and len(pair) == 2 and all(type(v) is int for v in pair)):
+        raise CorpusFormatError(f"gt segment {pair!r} is not a [start, end] pair of integers")
+    return Interval(*pair)
 
-    video = VideoSequence(id=str(rec["id"]), label=label, frames=_freeze(frames),
-                          gt_segments=gt_segments, laf_weights=laf_weights)
-    return split, video
+
+def _parse_record(rec) -> tuple[str, WebImage | VideoSequence]:
+    """("image", image) or (split, video) from one parsed record line."""
+    kind = rec.get("kind") if isinstance(rec, dict) else None
+    if kind == "image":
+        image = _fields(rec, kind, IMAGE_TYPES)
+        return kind, WebImage(image["id"], image["label"], decode_f64(image["feature"], "feature"),
+                              image["relevant"])
+    if kind != "video":
+        raise CorpusFormatError(f"expected an image or video record, got kind {kind!r}")
+    video = _fields(rec, kind, VIDEO_TYPES)
+    if video["split"] not in SPLITS:
+        raise CorpusFormatError(f"unknown split {video['split']!r}")
+    segments, weights = video["gt_segments"], video["laf_weights"]
+    return video["split"], VideoSequence(
+        video["id"], video["label"], decode_f64_rows(video["frames"], "frames"),
+        gt_segments=None if segments is None else tuple(map(_interval, segments)),
+        laf_weights=None if weights is None else json_floats(weights, "laf_weights"))
 
 
 def load_corpus(path: str | Path) -> Corpus:
     """Parse a corpus file; raises with the offending line number on bad input."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    numbered = [(n, ln) for n, ln in enumerate(lines, start=1) if ln.strip()]
-    if not numbered:
-        raise ValidationError(f"{path}: no records")
-
-    header_no, header_line = numbered[0]
-    try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"line {header_no}: invalid JSON: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
-        raise CorpusFormatError(f"line {header_no}: expected header with format={CORPUS_FORMAT!r}")
-    if header.get("version") != CORPUS_VERSION:
-        raise CorpusFormatError(f"line {header_no}: unsupported corpus version {header.get('version')!r}")
-    try:
-        num_labels = int(header["num_labels"])
-        feature_dim = int(header["feature_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusFormatError(f"line {header_no}: header needs integer num_labels and feature_dim") from exc
-    if num_labels < 1 or feature_dim < 1:
-        raise ValidationError(f"line {header_no}: num_labels and feature_dim must be >= 1")
-
-    images: list[WebImage] = []
-    videos: dict[str, list[VideoSequence]] = {split: [] for split in SPLITS}
-    for line_no, line in numbered[1:]:
-        where = f"line {line_no}"
+    header: Corpus | None = None
+    video_ids: set[str] = set()
+    records: dict[str, list] = {"image": [], **{split: [] for split in SPLITS}}
+    for line_no, rec in read_json_lines(path):
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{where}: invalid JSON: {exc}") from exc
-        if not isinstance(rec, dict):
-            raise CorpusFormatError(f"{where}: record must be a JSON object")
-        kind = rec.get("kind")
-        if kind == "image":
-            images.append(_parse_image(rec, num_labels, feature_dim, where))
-        elif kind == "video":
-            split, video = _parse_video(rec, num_labels, feature_dim, where)
-            videos[split].append(video)
-        else:
-            raise CorpusFormatError(f"{where}: unknown record kind {kind!r}")
-
-    return Corpus(num_labels=num_labels, feature_dim=feature_dim, images=tuple(images),
-                  train_videos=tuple(videos["train"]), validation_videos=tuple(videos["validation"]),
-                  test_videos=tuple(videos["test"]))
+            if header is None:
+                header = _parse_header(rec)
+            else:
+                group, record = _parse_record(rec)
+                header.check_member(record, video_ids)
+                records[group].append(record)
+        except ValidationError as exc:
+            raise type(exc)(f"line {line_no}: {exc}") from exc
+    if header is None:
+        raise ValidationError(f"{path}: no records")
+    return Corpus(header.num_labels, header.feature_dim, tuple(records["image"]),
+                  *(tuple(records[split]) for split in SPLITS))
 
 
 def _image_record(img: WebImage) -> dict:
@@ -289,7 +259,6 @@ def corpus_lines(corpus: Corpus) -> Iterable[str]:
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write the corpus atomically; round-trips bit-exactly through load_corpus."""
-    validate_corpus(corpus)
     atomic_write_text(path, "\n".join(corpus_lines(corpus)) + "\n")
 
 
@@ -298,6 +267,5 @@ def with_laf_weights(corpus: Corpus, weights: dict[str, np.ndarray]) -> Corpus:
     missing = [v.id for v in corpus.train_videos if v.id not in weights]
     if missing:
         raise ValidationError(f"missing LAF weights for train videos: {missing[:5]}")
-    train = tuple(dataclasses.replace(v, laf_weights=np.asarray(weights[v.id], dtype=np.float64))
-                  for v in corpus.train_videos)
+    train = tuple(dataclasses.replace(v, laf_weights=weights[v.id]) for v in corpus.train_videos)
     return dataclasses.replace(corpus, train_videos=train)

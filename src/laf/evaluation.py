@@ -150,8 +150,9 @@ def evaluate(detections: Sequence[Detection], videos: Sequence[VideoSequence],
         if missing:
             raise ValidationError(f"missing classification scores for videos: {missing[:5]}")
         rows = [np.asarray(video_scores[v.id], dtype=np.float64) for v in videos]
-        if any(row.shape != (num_labels,) for row in rows):
-            raise ValidationError(f"classification scores must be ({len(videos)}, {num_labels})")
+        if any(row.shape != (num_labels,) or not np.isfinite(row).all() for row in rows):
+            raise ValidationError(f"classification scores must be a finite "
+                                  f"({len(videos)}, {num_labels}) matrix")
         scores = np.stack(rows)
     else:
         scores = max_pooled_scores(detections, videos, num_labels)

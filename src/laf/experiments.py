@@ -57,7 +57,7 @@ def weighting_trial(seed: int, modes: tuple[str, ...] = ("laf", "uniform", "rand
     for mode in modes:
         videos = training_videos_for_mode(annotated, mode, config.lstm.seed)
         model, _ = train_lstm(videos, config.lstm, annotated.num_labels, annotated.feature_dim)
-        detections = localize_videos(model, annotated.test_videos, config.localization)
+        detections, _ = localize_videos(model, annotated.test_videos, config.localization)
         scores[mode] = mean_ap(detections_by_label(detections), gt, map_ratio)
     return scores
 

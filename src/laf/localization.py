@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import Interval, VideoSequence
 from .errors import CorpusFormatError, ValidationError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_json_lines
 from .lstm import LstmModel, lstm_forward
 
 
@@ -101,16 +101,14 @@ def temporal_nms(detections: Sequence[Detection], nms_overlap: float) -> list[De
     return kept
 
 
-def localize(model: LstmModel, video: VideoSequence, config: LocalizationConfig) -> dict[int, list[Detection]]:
-    """Window-scored detections per label for one video, after per-label NMS."""
-    if video.frames.shape[1] != model.input_dim:
-        raise ValidationError(f"video {video.id!r} feature dim {video.frames.shape[1]} "
-                              f"!= model input dim {model.input_dim}")
-    _, probs, _ = lstm_forward(model, video.frames)
-    windows = sliding_window_scores(probs, config.window_len, config.window_stride)
+def localize(video_id: str, step_probs: np.ndarray,
+             config: LocalizationConfig) -> dict[int, list[Detection]]:
+    """Window-scored detections per label from one video's (T, N) step probabilities,
+    after per-label NMS."""
+    windows = sliding_window_scores(step_probs, config.window_len, config.window_stride)
     result: dict[int, list[Detection]] = {}
-    for label in range(model.num_labels):
-        candidates = [Detection(video.id, label, interval, float(scores[label]))
+    for label in range(step_probs.shape[1]):
+        candidates = [Detection(video_id, label, interval, float(scores[label]))
                       for interval, scores in windows]
         kept = temporal_nms(candidates, config.nms_overlap)
         if config.max_detections_per_label is not None:
@@ -119,13 +117,18 @@ def localize(model: LstmModel, video: VideoSequence, config: LocalizationConfig)
     return result
 
 
-def localize_videos(model: LstmModel, videos: Sequence[VideoSequence],
-                    config: LocalizationConfig) -> list[Detection]:
+def localize_videos(model: LstmModel, videos: Sequence[VideoSequence], config: LocalizationConfig
+                    ) -> tuple[list[Detection], dict[str, np.ndarray]]:
+    """Detections on every video and each video's average-fusion scores, from one
+    forward pass per video."""
     detections: list[Detection] = []
+    fused: dict[str, np.ndarray] = {}
     for video in videos:
-        for dets in localize(model, video, config).values():
+        _, probs, _ = lstm_forward(model, video.frames)
+        fused[video.id] = classify_video(probs)
+        for dets in localize(video.id, probs, config).values():
             detections.extend(dets)
-    return detections
+    return detections, fused
 
 
 def detection_lines(detections: Iterable[Detection]) -> list[str]:
@@ -142,17 +145,15 @@ def save_detections(detections: Iterable[Detection], path: str | Path) -> None:
 
 def load_detections(path: str | Path) -> list[Detection]:
     detections = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_no, rec in read_json_lines(path):
+        if not (isinstance(rec, dict) and type(rec.get("video_id")) is str
+                and all(type(rec.get(key)) is int for key in ("label", "start", "end"))
+                and type(rec.get("score")) in (int, float)):
+            raise CorpusFormatError(f"line {line_no}: a detection needs a string video_id, "
+                                    f"integer label, start and end, and a numeric score")
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-        try:
-            detections.append(Detection(video_id=str(rec["video_id"]), label=int(rec["label"]),
-                                         interval=Interval(int(rec["start"]), int(rec["end"])),
-                                         score=float(rec["score"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"line {line_no}: malformed detection record: {exc}") from exc
+            detections.append(Detection(rec["video_id"], rec["label"],
+                                        Interval(rec["start"], rec["end"]), float(rec["score"])))
+        except (ValidationError, OverflowError) as exc:
+            raise CorpusFormatError(f"line {line_no}: {exc}") from exc
     return detections

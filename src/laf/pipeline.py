@@ -15,11 +15,11 @@ import numpy as np
 from .classifier import save_classifier
 from .config import RunConfig
 from .corpus import Corpus, load_corpus, save_corpus, with_laf_weights
-from .errors import CorpusFormatError, ValidationError
+from .errors import ValidationError
 from .evaluation import evaluate
-from .ioutil import atomic_write_json, read_json_object
-from .localization import classify_video, load_detections, localize_videos, save_detections
-from .lstm import load_lstm, lstm_forward, save_lstm, train_lstm
+from .ioutil import atomic_write_json, json_floats, read_json_object
+from .localization import load_detections, localize_videos, save_detections
+from .lstm import load_lstm, save_lstm, train_lstm
 from .synth import corpus_stats, generate_corpus, mode_centers
 from .transfer import run_domain_transfer, transfer_log_json
 
@@ -90,14 +90,10 @@ def stage_localize(config: RunConfig, checkpoint_path: str | Path, corpus_path: 
     if model.input_dim != corpus.feature_dim or model.num_labels != corpus.num_labels:
         raise ValidationError(f"checkpoint dims (d={model.input_dim}, N={model.num_labels}) do not "
                               f"match corpus (d={corpus.feature_dim}, N={corpus.num_labels})")
-    detections = localize_videos(model, corpus.test_videos, config.localization)
+    detections, fused = localize_videos(model, corpus.test_videos, config.localization)
     save_detections(detections, out_detections)
     if out_scores is not None:
-        fused = {}
-        for video in corpus.test_videos:
-            _, probs, _ = lstm_forward(model, video.frames)
-            fused[video.id] = classify_video(probs).tolist()
-        atomic_write_json(out_scores, fused)
+        atomic_write_json(out_scores, {video_id: vec.tolist() for video_id, vec in fused.items()})
     return len(detections)
 
 
@@ -107,11 +103,8 @@ def stage_eval(config: RunConfig, detections_path: str | Path, corpus_path: str 
     detections = load_detections(detections_path)
     video_scores = None
     if scores_path is not None:
-        raw = read_json_object(scores_path)
-        try:
-            video_scores = {vid: np.asarray(vec, dtype=np.float64) for vid, vec in raw.items()}
-        except (TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"{scores_path}: score vectors must be lists of numbers") from exc
+        video_scores = {vid: json_floats(vec, f"{scores_path}: scores of {vid!r}")
+                        for vid, vec in read_json_object(scores_path).items()}
     report = evaluate(detections, corpus.test_videos, config.eval, corpus.num_labels,
                       video_scores=video_scores)
     atomic_write_json(out_report, report)

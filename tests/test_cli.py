@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import laf
+from laf import localization, lstm, pipeline
 from laf.cli import main
 from laf.corpus import Interval, load_corpus, save_corpus
 from laf.localization import load_detections, save_detections, Detection
@@ -279,10 +280,39 @@ def test_missing_input_is_exit_code_two(config_path, tmp_path, capsys):
     assert code == 2
 
 
+CORPUS_EDITS = {  # test-video fields that each make the corpus malformed
+    "corpus_gt_segments_not_a_list": {"gt_segments": 5},
+    "corpus_gt_segment_of_strings": {"gt_segments": [["a", 1]]},
+    "corpus_gt_segment_with_null": {"gt_segments": [[None, 1]]},
+    "corpus_gt_segment_of_floats": {"gt_segments": [[0.7, 1.9]]},
+    "corpus_weights_not_numbers": {"laf_weights": ["a", "b"]},
+    "corpus_weights_ragged": {"laf_weights": [[1], [1, 2]]},
+    "corpus_duplicate_video_id": {"id": "v"},
+}
+DETECTION_LINES = {  # one detection record each, with a field of the wrong JSON type
+    "detection_fields_are_floats": {"label": 0.9, "start": 0.2, "end": 1.7},
+    "detection_label_is_true": {"label": True, "start": 0, "end": 2},
+    "detection_start_is_a_string": {"label": 0, "start": "1", "end": 2},
+}
+
+
+def update_test_videos(corpus_path, fields):
+    """Set ``fields`` on every test-video record of a corpus file."""
+    lines = corpus_path.read_text().splitlines()
+    for index, line in enumerate(lines):
+        if '"split":"test"' in line:
+            lines[index] = json.dumps({**json.loads(line), **fields})
+    corpus_path.write_text("\n".join(lines) + "\n")
+
+
 def malformed_call(case, config_path, tmp_path):
     """Argv of one CLI call that reads a malformed input file."""
     corpus_path = synth(config_path, tmp_path)
     videos = load_corpus(corpus_path).test_videos
+    if case in CORPUS_EDITS:
+        update_test_videos(corpus_path, CORPUS_EDITS[case])
+    elif case == "corpus_not_utf8":
+        corpus_path.write_bytes(corpus_path.read_bytes().replace(b'"test"', b'"t\xffst"', 1))
     bad = tmp_path / "bad.json"
     bad.write_text("[]")
     detections = tmp_path / "det.jsonl"
@@ -295,8 +325,15 @@ def malformed_call(case, config_path, tmp_path):
     if case == "config_not_utf8":
         bad.write_bytes(b"\xff\xfe{}")
         return ["synth", "--config", str(bad), "--out", str(tmp_path / "c.jsonl")]
+    if case == "detections_not_utf8":
+        detections.write_bytes(b'{"video_id":"\xff"}\n')
+    elif case in DETECTION_LINES:
+        detections.write_text(json.dumps(dict(video_id=videos[0].id, score=1.0,
+                                              **DETECTION_LINES[case])) + "\n")
     if case.startswith("scores_"):
-        if case == "scores_not_numbers":
+        if case == "scores_not_finite":
+            bad.write_text(json.dumps({v.id: [float("nan")] + [0.1] * 3 for v in videos}))
+        elif case == "scores_not_numbers":
             bad.write_text(json.dumps({v.id: "high" for v in videos}))
         elif case == "scores_of_unequal_length":
             bad.write_text(json.dumps({v.id: [0.25] * (4 + i) for i, v in enumerate(videos)}))
@@ -324,9 +361,29 @@ def assert_one_error_line(argv):
 
 @pytest.mark.parametrize("case", ["checkpoint_is_a_list", "config_not_utf8", "scores_are_a_list",
                                   "scores_not_numbers", "scores_of_unequal_length",
-                                  "detection_label_out_of_range", "detection_past_video_end"])
+                                  "scores_not_finite", "detection_label_out_of_range",
+                                  "detection_past_video_end", "detections_not_utf8",
+                                  *DETECTION_LINES, *CORPUS_EDITS, "corpus_not_utf8"])
 def test_malformed_input_is_one_error_line(case, config_path, tmp_path):
-    assert_one_error_line(malformed_call(case, config_path, tmp_path))
+    line = assert_one_error_line(malformed_call(case, config_path, tmp_path))
+    if case.startswith("corpus_") or case in DETECTION_LINES or case == "detections_not_utf8":
+        assert line.startswith("error: line "), line
+
+
+def test_localize_runs_the_model_once_per_test_video(config_path, tmp_path, monkeypatch):
+    annotated, checkpoint, _ = full_chain(config_path, tmp_path)
+    steps = []
+
+    def counted(model, frames, *args, **kwargs):
+        steps.append(len(frames))
+        return lstm.lstm_forward(model, frames, *args, **kwargs)
+
+    for module in (localization, pipeline):
+        monkeypatch.setattr(module, "lstm_forward", counted, raising=False)
+    assert run_cli("localize", "--config", config_path, "--checkpoint", str(checkpoint),
+                   "--corpus", str(annotated), "--out", str(tmp_path / "again.jsonl")) == 0
+    videos = load_corpus(annotated).test_videos
+    assert steps == [video.num_steps for video in videos]
 
 
 def test_diverging_training_is_one_error_line_and_writes_nothing(config_path, tmp_path):

@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from laf.corpus import (Corpus, Interval, load_corpus, save_corpus, validate_corpus,
-                        with_laf_weights)
+from laf.corpus import Corpus, Interval, load_corpus, save_corpus, with_laf_weights
 from laf.errors import CorpusFormatError, ValidationError
 
 from conftest import assert_corpora_equal, make_image, make_video, random_corpus
@@ -28,7 +27,11 @@ def test_round_trip_is_identity(tmp_path, rng):
         corpus = random_corpus(rng)
         path = tmp_path / f"c{trial}.jsonl"
         save_corpus(corpus, path)
-        assert_corpora_equal(corpus, load_corpus(path))
+        loaded = load_corpus(path)
+        assert_corpora_equal(corpus, loaded)
+        arrays = [img.feature for img in loaded.images] + [
+            a for v in loaded.all_videos for a in (v.frames, v.laf_weights) if a is not None]
+        assert not any(a.flags.writeable for a in arrays)  # loaded arrays are read-only
 
 
 def test_round_trip_preserves_bit_patterns(tmp_path):
@@ -128,15 +131,25 @@ def test_weights_out_of_range_rejected(tmp_path):
 
 
 def test_gt_segment_exceeding_video_rejected():
-    video = make_video(0, 0, np.zeros((3, 1)), gt=[(0, 5)])
     with pytest.raises(ValidationError, match="segment"):
-        validate_corpus(Corpus(1, 1, (), (video,), (), ()))
+        make_video(0, 0, np.zeros((3, 1)), gt=[(0, 5)])
 
 
 def test_nonfinite_feature_rejected():
-    corpus = Corpus(1, 2, (make_image(0, 0, [np.inf, 0.0]),), (), (), ())
     with pytest.raises(ValidationError, match="finite"):
-        validate_corpus(corpus)
+        make_image(0, 0, [np.inf, 0.0])
+
+
+def test_duplicate_video_id_rejected(tmp_path):
+    first, second = make_video(0, 0, [[0.0]], split="test"), make_video(0, 1, [[1.0]], split="test")
+    with pytest.raises(ValidationError, match="video 'test-0': duplicate video id"):
+        Corpus(2, 1, (), (), (), (first, second))
+    path = tmp_path / "c.jsonl"
+    save_corpus(Corpus(2, 1, (), (), (), (first,)), path)
+    line = path.read_text().splitlines()[1]
+    path.write_text(path.read_text() + line + "\n")
+    with pytest.raises(ValidationError, match="line 3: .*duplicate video id"):
+        load_corpus(path)
 
 
 def test_interval_invariants():
@@ -157,3 +170,12 @@ def test_with_laf_weights_requires_full_coverage(rng):
     weights[corpus.train_videos[-1].id] = np.zeros(corpus.train_videos[-1].num_steps)
     annotated = with_laf_weights(corpus, weights)
     assert all(v.laf_weights is not None for v in annotated.train_videos)
+
+
+def test_with_laf_weights_rejects_weights_outside_unit_interval(rng):
+    corpus = random_corpus(rng, with_optional=False)
+    for bad in (1.5, -0.25, np.nan):
+        weights = {v.id: np.full(v.num_steps, 0.5) for v in corpus.train_videos}
+        weights[corpus.train_videos[0].id][-1] = bad
+        with pytest.raises(ValidationError, match="laf_weights"):
+            with_laf_weights(corpus, weights)

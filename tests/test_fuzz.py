@@ -1,0 +1,140 @@
+"""Property-based corruption of the inputs of ``laf eval``.
+
+A small valid corpus, detections file and scores file are built once. Each
+example corrupts one of them in a way that always leaves it malformed:
+
+* truncation inside a record, so the record is no longer whole JSON;
+* a byte flip (XOR 0x80), which leaves these ASCII files invalid UTF-8;
+* one JSON value swapped for a value of another type: a string, an integer,
+  a float, a boolean, null, a (nested) list, NaN or Infinity.
+
+The CLI must then exit 1 or 2 with exactly one ``error:`` or ``i/o error:``
+line on stderr, write no report, and let no exception escape.
+"""
+
+import contextlib
+import io
+import json
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from laf.cli import main
+from laf.corpus import save_corpus, with_laf_weights
+from laf.ioutil import atomic_write_json
+from laf.localization import Detection, save_detections
+from laf.synth import SynthSpec, generate_corpus
+
+SPEC = SynthSpec(num_activities=2, actions_per_activity=2, feature_dim=3,
+                 train_videos_per_action=1, validation_videos_per_action=1,
+                 test_videos_per_action=1, frames_per_video=(4, 6),
+                 action_segment_fraction=0.5, images_per_action=2)
+
+REPLACEMENTS = (("str", "x"), ("str", ""), ("int", 0), ("int", -1), ("int", 10**30),
+                ("float", 0.5), ("float", -2.0), ("bool", True), ("bool", False), ("null", None),
+                ("list", []), ("list", [[1], [1, 2]]), ("nan", float("nan")),
+                ("inf", float("inf")), ("inf", float("-inf")))
+
+
+def json_type(value) -> str:
+    for name, kind in (("null", type(None)), ("bool", bool), ("int", int), ("float", float),
+                       ("str", str), ("list", list), ("dict", dict)):
+        if type(value) is kind:
+            return name
+    raise TypeError(value)
+
+
+def value_paths(value, prefix=()):
+    """Paths to every value nested in a JSON document, the root excluded."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from value_paths(child, prefix + (key,))
+
+
+def encode(records: list[str]) -> bytes:
+    return "".join(record + "\n" for record in records).encode("ascii")
+
+
+@dataclass
+class EvalInputs:
+    root: Path
+    records: dict  # file name -> its JSON texts: one per line, or the whole document
+    argv: list
+
+    def argv_with(self, name: str, content: bytes) -> list[str]:
+        """The eval call with file ``name`` replaced by a file holding ``content``."""
+        path = self.root / ("bad." + name)
+        path.write_bytes(content)
+        return [str(path) if arg == str(self.root / name) else arg for arg in self.argv]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    corpus = generate_corpus(SPEC)
+    corpus = with_laf_weights(corpus, {v.id: np.linspace(0.0, 1.0, v.num_steps)
+                                       for v in corpus.train_videos})
+    save_corpus(corpus, root / "corpus.jsonl")
+    save_detections([Detection(v.id, v.label, seg, 1.0) for v in corpus.test_videos
+                     for seg in v.gt_segments], root / "detections.jsonl")
+    atomic_write_json(root / "scores.json",
+                      {v.id: [1.0 / SPEC.num_labels] * SPEC.num_labels for v in corpus.test_videos})
+    (root / "config.json").write_text(json.dumps({"eval": {"hit_ks": [1, 2]}}))
+    records = {name: (root / name).read_text().splitlines()
+               for name in ("corpus.jsonl", "detections.jsonl")}
+    records["scores.json"] = [(root / "scores.json").read_text().rstrip("\n")]
+    argv = ["eval", "--config", str(root / "config.json"), "--corpus", str(root / "corpus.jsonl"),
+            "--detections", str(root / "detections.jsonl"), "--scores", str(root / "scores.json"),
+            "--out", str(root / "report.json")]
+    assert run_eval(argv) == (0, [])  # valid before corruption
+    (root / "report.json").unlink()
+    return EvalInputs(root, records, argv)
+
+
+def run_eval(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+def corrupt(data, records: list[str]) -> bytes:
+    """The bytes of one malformed variant of a file given as its JSON texts."""
+    kind = data.draw(st.sampled_from(["truncate", "flip", "swap"]), label="kind")
+    if kind == "flip":
+        raw = bytearray(encode(records))
+        raw[data.draw(st.integers(0, len(raw) - 1), label="byte")] ^= 0x80
+        return bytes(raw)
+    index = data.draw(st.integers(0, len(records) - 1), label="record")
+    text = records[index]
+    if kind == "truncate":  # keep the records before, cut this one short
+        cut = data.draw(st.integers(1, len(text) - 1), label="cut")
+        return encode(records[:index]) + text[:cut].encode("ascii")
+    document = json.loads(text)
+    *parents, key = data.draw(st.sampled_from(list(value_paths(document))), label="path")
+    holder = document
+    for step in parents:
+        holder = holder[step]
+    original = json_type(holder[key])
+    excluded = {original, "int"} if original == "float" else {original}
+    holder[key] = data.draw(st.sampled_from([value for name, value in REPLACEMENTS
+                                             if name not in excluded]), label="value")
+    return encode(records[:index] + [json.dumps(document, separators=(",", ":"))]
+                  + records[index + 1:])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupted_eval_input_is_one_error_line(inputs, data):
+    (inputs.root / "report.json").unlink(missing_ok=True)
+    name = data.draw(st.sampled_from(sorted(inputs.records)), label="file")
+    code, err = run_eval(inputs.argv_with(name, corrupt(data, inputs.records[name])))
+    assert code in (1, 2)
+    assert len(err) == 1 and err[0].startswith(("error:", "i/o error:")), err
+    assert not (inputs.root / "report.json").exists()

@@ -11,7 +11,7 @@ from laf.errors import ValidationError
 from laf.localization import (Detection, LocalizationConfig, classify_video, load_detections,
                               localize, localize_videos, save_detections,
                               sliding_window_scores, temporal_iou, temporal_nms)
-from laf.lstm import LstmTrainConfig, train_lstm
+from laf.lstm import LstmTrainConfig, lstm_forward, train_lstm
 from laf.synth import SynthSpec, generate_corpus
 
 from oracles import brute_force_nms
@@ -172,11 +172,16 @@ def trained_localizer(seed=0):
     return corpus, model
 
 
+def localize_video(model, video, config):
+    _, probs, _ = lstm_forward(model, video.frames)
+    return localize(video.id, probs, config)
+
+
 def test_localize_single_window_video():
     corpus, model = trained_localizer()
     video = corpus.test_videos[0]
     short = dataclasses.replace(video, frames=video.frames[:10], gt_segments=None)
-    result = localize(model, short, LocalizationConfig(window_len=10))
+    result = localize_video(model, short, LocalizationConfig(window_len=10))
     assert set(result) == {0, 1}
     for label, dets in result.items():
         assert len(dets) == 1
@@ -188,7 +193,7 @@ def test_localize_finds_planted_segment():
     corpus, model = trained_localizer()
     hits = 0
     for video in corpus.test_videos:
-        top = localize(model, video, LocalizationConfig())[video.label][0]
+        top = localize_video(model, video, LocalizationConfig())[video.label][0]
         (segment,) = video.gt_segments
         hits += temporal_iou(top.interval, segment) >= 0.5
     assert hits >= 3  # of 8 test videos
@@ -198,7 +203,7 @@ def test_localize_is_deterministic():
     corpus, model = trained_localizer()
     video = corpus.test_videos[0]
     config = LocalizationConfig()
-    assert localize(model, video, config) == localize(model, video, config)
+    assert localize_video(model, video, config) == localize_video(model, video, config)
 
 
 def test_localize_depends_on_frame_order():
@@ -207,7 +212,7 @@ def test_localize_depends_on_frame_order():
     reversed_video = dataclasses.replace(video, frames=video.frames[::-1].copy(),
                                          gt_segments=None)
     config = LocalizationConfig()
-    assert localize(model, video, config) != localize(model, reversed_video, config)
+    assert localize_video(model, video, config) != localize_video(model, reversed_video, config)
 
 
 def test_localize_rejects_dim_mismatch():
@@ -215,14 +220,14 @@ def test_localize_rejects_dim_mismatch():
     video = corpus.test_videos[0]
     bad = dataclasses.replace(video, frames=np.zeros((12, model.input_dim + 1)))
     with pytest.raises(ValidationError):
-        localize(model, bad, LocalizationConfig())
+        localize_videos(model, [bad], LocalizationConfig())
 
 
 def test_max_detections_cut():
     corpus, model = trained_localizer()
     video = corpus.test_videos[0]
     config = LocalizationConfig(nms_overlap=0.9, max_detections_per_label=2)
-    result = localize(model, video, config)
+    result = localize_video(model, video, config)
     assert all(len(dets) <= 2 for dets in result.values())
 
 
@@ -242,8 +247,11 @@ def test_detections_round_trip_and_ordering(tmp_path):
 
 def test_localize_videos_covers_every_test_video():
     corpus, model = trained_localizer()
-    detections = localize_videos(model, corpus.test_videos, LocalizationConfig())
+    detections, fused = localize_videos(model, corpus.test_videos, LocalizationConfig())
     assert {d.video_id for d in detections} == {v.id for v in corpus.test_videos}
+    for video in corpus.test_videos:
+        _, probs, _ = lstm_forward(model, video.frames)
+        assert np.array_equal(fused[video.id], classify_video(probs))
 
 
 def test_config_validation():
