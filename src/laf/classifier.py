@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorpusFormatError, ValidationError
-from .ioutil import atomic_write_text, decode_f64, encode_f64, read_json_object
+from .errors import ValidationError
+from .ioutil import atomic_write_text, decode_f64, encode_f64, json_fields, read_json_object
 from .numerics import softmax
 
 CHECKPOINT_FORMAT = "laf-softmax"
@@ -32,11 +32,11 @@ class ClassifierTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN fails too
             raise ValidationError("learning_rate must be positive")
         if self.epochs < 0:
             raise ValidationError("epochs must be >= 0")
-        if self.l2_penalty < 0:
+        if not self.l2_penalty >= 0:
             raise ValidationError("l2_penalty must be nonnegative")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be positive")
@@ -150,12 +150,11 @@ def save_classifier(clf: Classifier, path: str | Path) -> None:
 
 def load_classifier(path: str | Path) -> Classifier:
     obj = read_json_object(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
-    try:
-        num_labels, dim = int(obj["num_labels"]), int(obj["feature_dim"])
-        weights = decode_f64(obj["weights"], str(path)).reshape(num_labels, dim)
-        biases = decode_f64(obj["biases"], str(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusFormatError(f"{path}: malformed checkpoint: {exc!r}") from exc
-    if biases.shape != (num_labels,):
-        raise CorpusFormatError(f"{path}: bias length {biases.size} != num_labels {num_labels}")
-    return Classifier(weights=weights, biases=biases)
+    where = f"{path}: malformed checkpoint"
+    fields = json_fields(obj, {"num_labels": int, "feature_dim": int, "weights": str,
+                               "biases": str}, where)
+    num_labels = fields["num_labels"]
+    return Classifier(
+        weights=decode_f64(fields["weights"], f"{where}: weights",
+                           (num_labels, fields["feature_dim"])),
+        biases=decode_f64(fields["biases"], f"{where}: biases", (num_labels,)))

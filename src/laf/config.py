@@ -1,7 +1,8 @@
 """Experiment configuration: one JSON document with one block per stage.
 
 Every default can be overridden; unknown or ill-typed keys are rejected with
-the full key path. A top-level ``seed`` (or the CLI ``--seed`` flag)
+the full key path (types follow :func:`laf.ioutil.json_value`, so NaN and
+infinity are rejected). A top-level ``seed`` (or the CLI ``--seed`` flag)
 overrides the seed of every stage so a whole pipeline run is reproducible
 from a single number.
 """
@@ -17,7 +18,7 @@ from pathlib import Path
 from .classifier import ClassifierTrainConfig
 from .errors import ConfigError, LafError
 from .evaluation import EvalConfig
-from .ioutil import read_json_object
+from .ioutil import json_value, read_json_object
 from .localization import LocalizationConfig
 from .lstm import LstmTrainConfig
 from .synth import SynthSpec
@@ -85,22 +86,8 @@ def _coerce(value, annotation, path: str):
         if isinstance(value, annotation):
             return value
         return build_dataclass(annotation, value, path)
-    if annotation is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean")
-        return value
-    if annotation is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer")
-        return value
-    if annotation is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number")
-        return float(value)
-    if annotation is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string")
-        return value
+    if annotation in (bool, int, float, str):
+        return json_value(value, annotation, path, ConfigError)
     raise ConfigError(f"{path}: unsupported config value type {annotation!r}")
 
 

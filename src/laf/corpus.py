@@ -28,8 +28,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CorpusFormatError, ValidationError
-from .ioutil import (atomic_write_text, decode_f64, decode_f64_rows, encode_f64, json_floats,
-                     read_json_lines)
+from .ioutil import (atomic_write_text, decode_f64, decode_f64_rows, encode_f64, json_fields,
+                     json_floats, json_value, read_json_lines)
 
 CORPUS_FORMAT = "laf-corpus"
 CORPUS_VERSION = 1
@@ -151,49 +151,36 @@ class Corpus:
             video_ids.add(record.id)
 
 
-HEADER_TYPES = {"format": str, "version": int, "num_labels": int, "feature_dim": int}
-IMAGE_TYPES = {"id": str, "label": None, "feature": str, "relevant": bool}
-VIDEO_TYPES = {"split": str, "id": str, "label": None, "frames": list, "gt_segments": list,
+HEADER_KINDS = {"format": str, "version": int, "num_labels": int, "feature_dim": int}
+IMAGE_KINDS = {"id": str, "label": int, "feature": str, "relevant": bool}
+VIDEO_KINDS = {"split": str, "id": str, "label": int, "frames": list, "gt_segments": list,
                "laf_weights": list}
 OPTIONAL_KEYS = ("relevant", "gt_segments", "laf_weights")
 
 
-def _fields(rec, kind: str, types: dict) -> dict:
-    """The record's values for ``types``: each key present unless optional, each present
-    value of its JSON type (bool is not int; None leaves the value to the record's checks)."""
-    if not isinstance(rec, dict):
-        raise CorpusFormatError(f"{kind} record must be a JSON object")
-    for key, json_type in types.items():
-        if key not in rec and key not in OPTIONAL_KEYS:
-            raise CorpusFormatError(f"{kind} record missing {key!r}")
-        if key in rec and json_type is not None and type(rec[key]) is not json_type:
-            raise CorpusFormatError(f"{kind} record: {key!r} must be a JSON {json_type.__name__}")
-    return {key: rec.get(key) for key in types}
-
-
 def _parse_header(rec) -> Corpus:
-    header = _fields(rec, "header", HEADER_TYPES)
+    header = json_fields(rec, HEADER_KINDS, "header")
     if header["format"] != CORPUS_FORMAT or header["version"] != CORPUS_VERSION:
         raise CorpusFormatError(f"expected a {CORPUS_FORMAT!r} version {CORPUS_VERSION} header")
     return Corpus(header["num_labels"], header["feature_dim"], (), (), (), ())
 
 
 def _interval(pair) -> Interval:
-    if not (type(pair) is list and len(pair) == 2 and all(type(v) is int for v in pair)):
-        raise CorpusFormatError(f"gt segment {pair!r} is not a [start, end] pair of integers")
-    return Interval(*pair)
+    if type(pair) is not list or len(pair) != 2:
+        raise CorpusFormatError(f"gt segment {pair!r} is not a [start, end] pair")
+    return Interval(*(json_value(v, int, f"gt segment {pair!r}") for v in pair))
 
 
 def _parse_record(rec) -> tuple[str, WebImage | VideoSequence]:
     """("image", image) or (split, video) from one parsed record line."""
     kind = rec.get("kind") if isinstance(rec, dict) else None
     if kind == "image":
-        image = _fields(rec, kind, IMAGE_TYPES)
+        image = json_fields(rec, IMAGE_KINDS, "image record", OPTIONAL_KEYS)
         return kind, WebImage(image["id"], image["label"], decode_f64(image["feature"], "feature"),
                               image["relevant"])
     if kind != "video":
         raise CorpusFormatError(f"expected an image or video record, got kind {kind!r}")
-    video = _fields(rec, kind, VIDEO_TYPES)
+    video = json_fields(rec, VIDEO_KINDS, "video record", OPTIONAL_KEYS)
     if video["split"] not in SPLITS:
         raise CorpusFormatError(f"unknown split {video['split']!r}")
     segments, weights = video["gt_segments"], video["laf_weights"]

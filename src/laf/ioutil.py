@@ -1,9 +1,10 @@
-"""Small I/O helpers: exact float serialization, JSON-object reads and atomic writes."""
+"""Small I/O helpers: exact float serialization, strict JSON reads and atomic writes."""
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -20,9 +21,14 @@ def encode_f64(values: np.ndarray) -> str:
     return base64.b64encode(arr.tobytes()).decode("ascii")
 
 
-def decode_f64(text: str, where: str = "") -> np.ndarray:
-    """Inverse of :func:`encode_f64`; returns a read-only 1-D float64 array."""
-    return decode_f64_rows([text], where)[0]
+def decode_f64(text: str, where: str = "", shape: tuple | None = None) -> np.ndarray:
+    """Inverse of :func:`encode_f64`; a read-only float64 array, 1-D or of ``shape``."""
+    flat = decode_f64_rows([text], where)[0]
+    if shape is None:
+        return flat
+    if min(shape) < 0 or flat.size != math.prod(shape):
+        raise CorpusFormatError(f"{where}: {flat.size} values, expected shape {shape}")
+    return flat.reshape(shape)
 
 
 def decode_f64_rows(texts: list, where: str = "") -> np.ndarray:
@@ -37,16 +43,51 @@ def decode_f64_rows(texts: list, where: str = "") -> np.ndarray:
     return np.frombuffer(b"".join(rows), dtype="<f8").reshape(len(rows), sum(sizes) // 8)
 
 
+JSON_KINDS = {bool: "a JSON boolean", int: "a JSON integer", float: "a finite JSON number",
+              str: "a JSON string", list: "a JSON list"}
+
+
+def json_value(value, kind: type, where: str, error: type[LafError] = CorpusFormatError):
+    """``value`` as a JSON ``kind``, the one type rule of every file laf reads.
+
+    bool is not int; an int field takes only a JSON integer; a float field
+    takes an integer or a finite float and returns a float; str, bool and list
+    take exactly that type.
+    """
+    if kind is float and type(value) in (int, float):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    elif type(value) is kind:
+        return value
+    raise error(f"{where}: must be {JSON_KINDS[kind]}")
+
+
+def json_fields(rec, kinds: dict, where: str, optional=()) -> dict:
+    """The values of a JSON object for the keys of ``kinds``, each checked by
+    :func:`json_value`; a key in ``optional`` may be absent (its value is then
+    None), never null."""
+    if not isinstance(rec, dict):
+        raise CorpusFormatError(f"{where}: must be a JSON object")
+    fields = {}
+    for key, kind in kinds.items():
+        if key in rec:
+            fields[key] = json_value(rec[key], kind, f"{where}: {key!r}")
+        elif key in optional:
+            fields[key] = None
+        else:
+            raise CorpusFormatError(f"{where}: missing {key!r}")
+    return fields
+
+
 def json_floats(values, where: str) -> np.ndarray:
-    """A JSON list of numbers (booleans excluded) as a read-only float64 vector."""
-    try:
-        if type(values) is list and all(type(v) in (int, float) for v in values):
-            out = np.array(values, dtype=np.float64)
-            out.setflags(write=False)
-            return out
-    except OverflowError:  # an integer beyond the float range
-        pass
-    raise CorpusFormatError(f"{where}: must be a list of numbers")
+    """A JSON list of finite numbers (booleans excluded) as a read-only float64 vector."""
+    out = np.array([json_value(v, float, where) for v in json_value(values, list, where)],
+                   dtype=np.float64)
+    out.setflags(write=False)
+    return out
 
 
 def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
@@ -79,7 +120,8 @@ def read_json_object(path: str | Path, fmt: str | None = None, version: int | No
         raise error(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise error(f"{path}: expected a JSON object, got {type(obj).__name__}")
-    if fmt is not None and (obj.get("format") != fmt or obj.get("version") != version):
+    if fmt is not None and json_fields(obj, {"format": str, "version": int}, str(path)) \
+            != {"format": fmt, "version": version}:
         raise error(f"{path}: not a {fmt} v{version} checkpoint")
     return obj
 

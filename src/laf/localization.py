@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import Interval, VideoSequence
 from .errors import CorpusFormatError, ValidationError
-from .ioutil import atomic_write_text, read_json_lines
+from .ioutil import atomic_write_text, json_fields, read_json_lines
 from .lstm import LstmModel, lstm_forward
 
 
@@ -143,17 +143,16 @@ def save_detections(detections: Iterable[Detection], path: str | Path) -> None:
     atomic_write_text(path, "\n".join(detection_lines(detections)) + "\n")
 
 
+DETECTION_KINDS = {"video_id": str, "label": int, "start": int, "end": int, "score": float}
+
+
 def load_detections(path: str | Path) -> list[Detection]:
     detections = []
     for line_no, rec in read_json_lines(path):
-        if not (isinstance(rec, dict) and type(rec.get("video_id")) is str
-                and all(type(rec.get(key)) is int for key in ("label", "start", "end"))
-                and type(rec.get("score")) in (int, float)):
-            raise CorpusFormatError(f"line {line_no}: a detection needs a string video_id, "
-                                    f"integer label, start and end, and a numeric score")
         try:
-            detections.append(Detection(rec["video_id"], rec["label"],
-                                        Interval(rec["start"], rec["end"]), float(rec["score"])))
-        except (ValidationError, OverflowError) as exc:
+            det = json_fields(rec, DETECTION_KINDS, "detection")
+            detections.append(Detection(det["video_id"], det["label"],
+                                        Interval(det["start"], det["end"]), det["score"]))
+        except ValidationError as exc:
             raise CorpusFormatError(f"line {line_no}: {exc}") from exc
     return detections

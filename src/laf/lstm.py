@@ -27,12 +27,13 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import VideoSequence
-from .errors import CorpusFormatError, ValidationError
-from .ioutil import atomic_write_text, decode_f64, encode_f64, read_json_object
+from .errors import ValidationError
+from .ioutil import atomic_write_text, decode_f64, encode_f64, json_fields, read_json_object
 from .numerics import sigmoid, softmax
 
 CHECKPOINT_FORMAT = "laf-lstm"
 CHECKPOINT_VERSION = 1
+DIM_KEYS = ("input", "cells", "projection", "outputs")  # checkpoint "dims", in LstmModel order
 
 PARAM_FIELDS = (
     "w_ix", "w_fx", "w_cx", "w_ox",
@@ -91,9 +92,6 @@ class LstmModel:
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"parameter {name} contains non-finite values")
             setattr(self, name, arr)
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_FIELDS}
 
     def copy(self) -> "LstmModel":
         kwargs = {name: getattr(self, name).copy() for name in PARAM_FIELDS}
@@ -288,15 +286,15 @@ class LstmTrainConfig:
     def __post_init__(self):
         if min(self.num_cells, self.proj_dim, self.unroll_k, self.batch_size) < 1:
             raise ValidationError("num_cells, proj_dim, unroll_k, batch_size must be positive")
-        if self.learning_rate <= 0 or not (0.0 < self.lr_decay <= 1.0):
+        if not self.learning_rate > 0 or not (0.0 < self.lr_decay <= 1.0):  # NaN fails too
             raise ValidationError("learning_rate must be positive and lr_decay in (0, 1]")
         if self.epochs < 0:
             raise ValidationError("epochs must be >= 0")
-        if self.gradient_clip is not None and self.gradient_clip <= 0:
+        if self.gradient_clip is not None and not self.gradient_clip > 0:
             raise ValidationError("gradient_clip must be positive or None")
         if not (0.0 <= self.weight_floor_epsilon < 1.0):
             raise ValidationError("weight_floor_epsilon must lie in [0, 1)")
-        if self.init_scale <= 0:
+        if not self.init_scale > 0:
             raise ValidationError("init_scale must be positive")
 
 
@@ -373,20 +371,8 @@ def save_lstm(model: LstmModel, path: str | Path) -> None:
 
 def load_lstm(path: str | Path) -> LstmModel:
     obj = read_json_object(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
-    try:
-        dims = obj["dims"]
-        input_dim, num_cells = int(dims["input"]), int(dims["cells"])
-        proj_dim, num_labels = int(dims["projection"]), int(dims["outputs"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusFormatError(f"{path}: malformed dims block") from exc
-    shapes = param_shapes(input_dim, num_cells, proj_dim, num_labels)
-    params = {}
-    for name in PARAM_FIELDS:
-        if name not in obj:
-            raise CorpusFormatError(f"{path}: missing parameter {name!r}")
-        flat = decode_f64(obj[name], str(path))
-        if flat.size != int(np.prod(shapes[name])):
-            raise CorpusFormatError(f"{path}: parameter {name!r} has {flat.size} values, "
-                                    f"expected shape {shapes[name]}")
-        params[name] = flat.reshape(shapes[name])
-    return LstmModel(input_dim, num_cells, proj_dim, num_labels, **params)
+    dims = json_fields(obj.get("dims"), dict.fromkeys(DIM_KEYS, int), f"{path}: dims")
+    shapes = param_shapes(*dims.values())
+    params = json_fields(obj, dict.fromkeys(PARAM_FIELDS, str), str(path))
+    return LstmModel(*dims.values(), **{name: decode_f64(text, f"{path}: {name}", shapes[name])
+                                        for name, text in params.items()})

@@ -56,7 +56,7 @@ class SynthSpec:
             raise ValidationError("action_segment_fraction * min frames must be >= 1")
         if not (0.0 <= self.image_noise_fraction < 1.0):
             raise ValidationError("image_noise_fraction must lie in [0, 1)")
-        if self.mode_separation <= 0 or self.mode_stddev <= 0:
+        if not (self.mode_separation > 0 and self.mode_stddev > 0):  # NaN fails too
             raise ValidationError("mode_separation and mode_stddev must be positive")
         if min(self.train_videos_per_action, self.validation_videos_per_action,
                self.test_videos_per_action, self.images_per_action) < 1:

@@ -197,3 +197,16 @@ def test_checkpoint_rejects_other_formats(tmp_path):
         path.write_text(json.dumps(broken))
         with pytest.raises(CorpusFormatError, match="malformed checkpoint"):
             load_classifier(path)
+
+
+@pytest.mark.parametrize("edit, match", [
+    ({"num_labels": "2"}, "'num_labels': must be a JSON integer"), ({"num_labels": 2.0}, "num_labels"),
+    ({"num_labels": True}, "num_labels"), ({"feature_dim": 3.5}, "feature_dim"),
+    ({"version": True}, "version"), ({"biases": None}, "'biases': must be a JSON string"),
+    ({"num_labels": -2, "feature_dim": -3}, r"weights: 6 values, expected shape \(-2, -3\)")])
+def test_checkpoint_dims_and_header_must_be_json_integers(tmp_path, edit, match):
+    path = tmp_path / "x.json"
+    save_classifier(uniform_classifier(2, 3), path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    with pytest.raises(CorpusFormatError, match=match):
+        load_classifier(path)

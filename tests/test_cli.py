@@ -289,6 +289,12 @@ CORPUS_EDITS = {  # test-video fields that each make the corpus malformed
     "corpus_weights_ragged": {"laf_weights": [[1], [1, 2]]},
     "corpus_duplicate_video_id": {"id": "v"},
 }
+CONFIG_EDITS = {  # one config value each that is not a finite JSON number
+    "config_lstm_learning_rate_nan": ("lstm", "learning_rate", float("nan")),
+    "config_lstm_gradient_clip_nan": ("lstm", "gradient_clip", float("nan")),
+    "config_classifier_learning_rate_nan": ("classifier", "learning_rate", float("nan")),
+    "config_synth_mode_separation_infinite": ("synth", "mode_separation", float("inf")),
+}
 DETECTION_LINES = {  # one detection record each, with a field of the wrong JSON type
     "detection_fields_are_floats": {"label": 0.9, "start": 0.2, "end": 1.7},
     "detection_label_is_true": {"label": True, "start": 0, "end": 2},
@@ -319,9 +325,19 @@ def malformed_call(case, config_path, tmp_path):
     save_detections([], detections)
     evaluate = ["eval", "--config", config_path, "--corpus", str(corpus_path),
                 "--detections", str(detections), "--out", str(tmp_path / "r.json")]
-    if case == "checkpoint_is_a_list":
+    if case == "checkpoint_dims_not_integers":  # read as int(2.9), it would run on 2 labels
+        two_labels = tmp_path / "two_labels.json"
+        two_labels.write_text(json.dumps({**TINY, "synth": {**TINY["synth"], "num_activities": 1}}))
+        corpus_path = synth(str(two_labels), tmp_path, "two_labels.jsonl")
+        lstm.save_lstm(lstm.init_model(8, 2, 2, 2), bad)
+        bad.write_text(bad.read_text().replace('"outputs": 2', '"outputs": 2.9'))
+    if case.startswith("checkpoint_"):
         return ["localize", "--config", config_path, "--checkpoint", str(bad),
                 "--corpus", str(corpus_path), "--out", str(tmp_path / "d.jsonl")]
+    if case in CONFIG_EDITS:
+        block, key, value = CONFIG_EDITS[case]
+        bad.write_text(json.dumps({**TINY, block: {**TINY.get(block, {}), key: value}}))
+        return ["synth", "--config", str(bad), "--out", str(tmp_path / "c.jsonl")]
     if case == "config_not_utf8":
         bad.write_bytes(b"\xff\xfe{}")
         return ["synth", "--config", str(bad), "--out", str(tmp_path / "c.jsonl")]
@@ -359,7 +375,8 @@ def assert_one_error_line(argv):
     return lines[0]
 
 
-@pytest.mark.parametrize("case", ["checkpoint_is_a_list", "config_not_utf8", "scores_are_a_list",
+@pytest.mark.parametrize("case", ["checkpoint_is_a_list", "checkpoint_dims_not_integers",
+                                  "config_not_utf8", *CONFIG_EDITS, "scores_are_a_list",
                                   "scores_not_numbers", "scores_of_unequal_length",
                                   "scores_not_finite", "detection_label_out_of_range",
                                   "detection_past_video_end", "detections_not_utf8",
@@ -368,6 +385,10 @@ def test_malformed_input_is_one_error_line(case, config_path, tmp_path):
     line = assert_one_error_line(malformed_call(case, config_path, tmp_path))
     if case.startswith("corpus_") or case in DETECTION_LINES or case == "detections_not_utf8":
         assert line.startswith("error: line "), line
+    if case in CONFIG_EDITS:
+        assert "{}.{}: must be a finite JSON number".format(*CONFIG_EDITS[case]) in line, line
+    if case == "checkpoint_dims_not_integers":
+        assert "dims: 'outputs': must be a JSON integer" in line, line
 
 
 def test_localize_runs_the_model_once_per_test_video(config_path, tmp_path, monkeypatch):

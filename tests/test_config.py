@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from laf.classifier import ClassifierTrainConfig
 from laf.config import RunConfig, apply_global_seed, load_run_config, run_config_from_dict
-from laf.errors import ConfigError
+from laf.errors import ConfigError, ValidationError
+from laf.lstm import LstmTrainConfig
+from laf.synth import SynthSpec
 
 
 def test_empty_config_gives_defaults():
@@ -55,6 +58,28 @@ def test_type_errors_are_named():
         run_config_from_dict({"lstm": {"epochs": 2.5}})
     with pytest.raises(ConfigError, match="eval.interpolated_ap"):
         run_config_from_dict({"eval": {"interpolated_ap": "yes"}})
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("lstm", "learning_rate", float("nan")), ("lstm", "gradient_clip", float("nan")),
+    ("lstm", "init_scale", float("inf")), ("classifier", "learning_rate", float("nan")),
+    ("classifier", "l2_penalty", float("-inf")), ("synth", "mode_separation", float("inf")),
+    ("synth", "mode_stddev", float("nan")), ("lstm", "learning_rate", 10 ** 400)])
+def test_non_finite_numbers_are_named(tmp_path, block, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({block: {key: value}}))
+    with pytest.raises(ConfigError, match=f"^{block}.{key}: must be a finite JSON number"):
+        load_run_config(path)
+
+
+@pytest.mark.parametrize("config, key", [
+    (LstmTrainConfig, "learning_rate"), (LstmTrainConfig, "gradient_clip"),
+    (LstmTrainConfig, "init_scale"), (ClassifierTrainConfig, "learning_rate"),
+    (ClassifierTrainConfig, "l2_penalty"), (SynthSpec, "mode_separation"),
+    (SynthSpec, "mode_stddev")])
+def test_nan_fails_the_positivity_checks_of_configs_built_in_memory(config, key):
+    with pytest.raises(ValidationError, match=key):
+        config(**{key: float("nan")})
 
 
 def test_invariant_violations_are_wrapped():

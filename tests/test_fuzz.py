@@ -1,15 +1,21 @@
-"""Property-based corruption of the inputs of ``laf eval``.
+"""Property-based corruption of the files laf reads.
 
-A small valid corpus, detections file and scores file are built once. Each
-example corrupts one of them in a way that always leaves it malformed:
+Small valid inputs are built once: the corpus, detections and scores of
+``laf eval``, the config and LSTM checkpoint of ``laf localize``, and a
+classifier checkpoint. Each example corrupts one of them in a way that always
+leaves it malformed:
 
 * truncation inside a record, so the record is no longer whole JSON;
 * a byte flip (XOR 0x80), which leaves these ASCII files invalid UTF-8;
 * one JSON value swapped for a value of another type: a string, an integer,
-  a float, a boolean, null, a (nested) list, NaN or Infinity.
+  a float, a boolean, null, a (nested) list, NaN or Infinity. Null is not
+  swapped in where a key is optional (the config's ``seed`` and
+  ``lstm.gradient_clip``), since that leaves the document valid.
 
 The CLI must then exit 1 or 2 with exactly one ``error:`` or ``i/o error:``
-line on stderr, write no report, and let no exception escape.
+line on stderr, write no output, and let no exception escape. No command
+reads the classifier checkpoint, so ``load_classifier`` must raise
+``ValidationError`` on it.
 """
 
 import contextlib
@@ -23,10 +29,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laf.classifier import Classifier, load_classifier, save_classifier
 from laf.cli import main
 from laf.corpus import save_corpus, with_laf_weights
+from laf.errors import ValidationError
+from laf.experiments import DESK_CONFIG
 from laf.ioutil import atomic_write_json
 from laf.localization import Detection, save_detections
+from laf.lstm import init_model, save_lstm
 from laf.synth import SynthSpec, generate_corpus
 
 SPEC = SynthSpec(num_activities=2, actions_per_activity=2, feature_dim=3,
@@ -61,26 +71,45 @@ def encode(records: list[str]) -> bytes:
     return "".join(record + "\n" for record in records).encode("ascii")
 
 
+def whole(path: Path) -> list[str]:
+    """A file holding one JSON document, as the one JSON text ``corrupt`` takes."""
+    return [path.read_text().rstrip("\n")]
+
+
 @dataclass
-class EvalInputs:
+class CliInputs:
     root: Path
     records: dict  # file name -> its JSON texts: one per line, or the whole document
     argv: list
+    outputs: tuple  # file names the call writes
 
     def argv_with(self, name: str, content: bytes) -> list[str]:
-        """The eval call with file ``name`` replaced by a file holding ``content``."""
+        """The call with file ``name`` replaced by a file holding ``content``."""
         path = self.root / ("bad." + name)
         path.write_bytes(content)
         return [str(path) if arg == str(self.root / name) else arg for arg in self.argv]
+
+    def assert_one_error_line(self, name: str, content: bytes) -> None:
+        for output in self.outputs:
+            (self.root / output).unlink(missing_ok=True)
+        code, err = run_cli(self.argv_with(name, content))
+        assert code in (1, 2)
+        assert len(err) == 1 and err[0].startswith(("error:", "i/o error:")), err
+        assert not any((self.root / output).exists() for output in self.outputs)
+
+
+def build_corpus(root: Path):
+    corpus = generate_corpus(SPEC)
+    corpus = with_laf_weights(corpus, {v.id: np.linspace(0.0, 1.0, v.num_steps)
+                                       for v in corpus.train_videos})
+    save_corpus(corpus, root / "corpus.jsonl")
+    return corpus
 
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    corpus = generate_corpus(SPEC)
-    corpus = with_laf_weights(corpus, {v.id: np.linspace(0.0, 1.0, v.num_steps)
-                                       for v in corpus.train_videos})
-    save_corpus(corpus, root / "corpus.jsonl")
+    corpus = build_corpus(root)
     save_detections([Detection(v.id, v.label, seg, 1.0) for v in corpus.test_videos
                      for seg in v.gt_segments], root / "detections.jsonl")
     atomic_write_json(root / "scores.json",
@@ -88,24 +117,38 @@ def inputs(tmp_path_factory):
     (root / "config.json").write_text(json.dumps({"eval": {"hit_ks": [1, 2]}}))
     records = {name: (root / name).read_text().splitlines()
                for name in ("corpus.jsonl", "detections.jsonl")}
-    records["scores.json"] = [(root / "scores.json").read_text().rstrip("\n")]
+    records["scores.json"] = whole(root / "scores.json")
     argv = ["eval", "--config", str(root / "config.json"), "--corpus", str(root / "corpus.jsonl"),
             "--detections", str(root / "detections.jsonl"), "--scores", str(root / "scores.json"),
             "--out", str(root / "report.json")]
-    assert run_eval(argv) == (0, [])  # valid before corruption
-    (root / "report.json").unlink()
-    return EvalInputs(root, records, argv)
+    assert run_cli(argv) == (0, [])  # valid before corruption
+    return CliInputs(root, records, argv, ("report.json",))
 
 
-def run_eval(argv):
+@pytest.fixture(scope="module")
+def localize_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz_localize")
+    build_corpus(root)
+    (root / "config.json").write_text(DESK_CONFIG.read_text())
+    save_lstm(init_model(SPEC.feature_dim, 3, 2, SPEC.num_labels), root / "lstm.json")
+    records = {name: whole(root / name) for name in ("config.json", "lstm.json")}
+    argv = ["localize", "--config", str(root / "config.json"), "--checkpoint",
+            str(root / "lstm.json"), "--corpus", str(root / "corpus.jsonl"),
+            "--out", str(root / "detections.jsonl")]
+    assert run_cli(argv) == (0, [])  # valid before corruption
+    return CliInputs(root, records, argv, ("detections.jsonl", "detections.jsonl.scores.json"))
+
+
+def run_cli(argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     return code, err.getvalue().splitlines()
 
 
-def corrupt(data, records: list[str]) -> bytes:
-    """The bytes of one malformed variant of a file given as its JSON texts."""
+def corrupt(data, records: list[str], nullable=()) -> bytes:
+    """The bytes of one malformed variant of a file given as its JSON texts;
+    ``nullable`` holds the value paths where null is valid."""
     kind = data.draw(st.sampled_from(["truncate", "flip", "swap"]), label="kind")
     if kind == "flip":
         raw = bytearray(encode(records))
@@ -117,12 +160,15 @@ def corrupt(data, records: list[str]) -> bytes:
         cut = data.draw(st.integers(1, len(text) - 1), label="cut")
         return encode(records[:index]) + text[:cut].encode("ascii")
     document = json.loads(text)
-    *parents, key = data.draw(st.sampled_from(list(value_paths(document))), label="path")
+    path = data.draw(st.sampled_from(list(value_paths(document))), label="path")
+    *parents, key = path
     holder = document
     for step in parents:
         holder = holder[step]
     original = json_type(holder[key])
     excluded = {original, "int"} if original == "float" else {original}
+    if path in nullable:
+        excluded.add("null")
     holder[key] = data.draw(st.sampled_from([value for name, value in REPLACEMENTS
                                              if name not in excluded]), label="value")
     return encode(records[:index] + [json.dumps(document, separators=(",", ":"))]
@@ -132,9 +178,34 @@ def corrupt(data, records: list[str]) -> bytes:
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_corrupted_eval_input_is_one_error_line(inputs, data):
-    (inputs.root / "report.json").unlink(missing_ok=True)
     name = data.draw(st.sampled_from(sorted(inputs.records)), label="file")
-    code, err = run_eval(inputs.argv_with(name, corrupt(data, inputs.records[name])))
-    assert code in (1, 2)
-    assert len(err) == 1 and err[0].startswith(("error:", "i/o error:")), err
-    assert not (inputs.root / "report.json").exists()
+    inputs.assert_one_error_line(name, corrupt(data, inputs.records[name]))
+
+
+@pytest.mark.parametrize("name, nullable", [("config.json", {("seed",), ("lstm", "gradient_clip")}),
+                                            ("lstm.json", ())])
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupted_localize_input_is_one_error_line(localize_inputs, name, nullable, data):
+    localize_inputs.assert_one_error_line(name, corrupt(data, localize_inputs.records[name],
+                                                        nullable))
+
+
+@pytest.fixture(scope="module")
+def classifier_records(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz_classifier") / "classifier.json"
+    rng = np.random.default_rng(0)
+    save_classifier(Classifier(rng.normal(size=(SPEC.num_labels, SPEC.feature_dim)),
+                               rng.normal(size=SPEC.num_labels)), path)
+    load_classifier(path)  # valid before corruption
+    return path, whole(path)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_corrupted_classifier_checkpoint_raises_validation_error(classifier_records, data):
+    path, records = classifier_records
+    bad = path.with_name("bad.classifier.json")
+    bad.write_bytes(corrupt(data, records))
+    with pytest.raises(ValidationError):
+        load_classifier(bad)

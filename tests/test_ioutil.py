@@ -1,0 +1,54 @@
+import math
+
+import numpy as np
+import pytest
+
+from laf.errors import ConfigError, CorpusFormatError
+from laf.ioutil import decode_f64, encode_f64, json_fields, json_floats, json_value
+
+
+@pytest.mark.parametrize("value, kind, expected", [
+    (3, int, 3), (-1, int, -1), (3, float, 3.0), (0.5, float, 0.5), (True, bool, True),
+    ("", str, ""), ([1, "a"], list, [1, "a"])])
+def test_json_value_accepts_its_kind(value, kind, expected):
+    out = json_value(value, kind, "x")
+    assert out == expected and type(out) is type(expected)
+
+
+@pytest.mark.parametrize("value, kind", [
+    (1.0, int), (True, int), ("1", int), (None, int), (10 ** 400, float), (math.nan, float),
+    (math.inf, float), (-math.inf, float), (False, float), ("0.5", float), (1, bool),
+    (None, str), ((1, 2), list), ({}, list)])
+def test_json_value_rejects_other_kinds(value, kind):
+    with pytest.raises(CorpusFormatError, match="^x: must be "):
+        json_value(value, kind, "x")
+    with pytest.raises(ConfigError):
+        json_value(value, kind, "x", ConfigError)
+
+
+def test_json_fields_optional_keys_are_absent_never_null():
+    kinds = {"id": str, "flag": bool}
+    assert json_fields({"id": "a", "extra": 1}, kinds, "rec", ("flag",)) == {"id": "a", "flag": None}
+    with pytest.raises(CorpusFormatError, match="^rec: 'flag': must be a JSON boolean"):
+        json_fields({"id": "a", "flag": None}, kinds, "rec", ("flag",))
+    with pytest.raises(CorpusFormatError, match="^rec: missing 'id'"):
+        json_fields({"flag": True}, kinds, "rec", ("flag",))
+    with pytest.raises(CorpusFormatError, match="^rec: must be a JSON object"):
+        json_fields([], kinds, "rec")
+
+
+def test_json_floats_takes_only_finite_numbers():
+    assert json_floats([0, 0.5, 1], "w").tolist() == [0.0, 0.5, 1.0]
+    for bad in ([0.5, math.nan], [math.inf], [True], [10 ** 400], "0.5", [[1.0]]):
+        with pytest.raises(CorpusFormatError, match="^w: must be"):
+            json_floats(bad, "w")
+
+
+def test_decode_f64_checks_the_shape():
+    values = np.arange(6.0).reshape(2, 3)
+    text = encode_f64(values)
+    assert decode_f64(text, "p", (2, 3)).tobytes() == values.tobytes()
+    assert decode_f64(text).shape == (6,)
+    for shape in ((3, 3), (6, 1, 2), (-2, -3)):
+        with pytest.raises(CorpusFormatError, match=r"^p: 6 values, expected shape"):
+            decode_f64(text, "p", shape)

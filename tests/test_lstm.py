@@ -446,6 +446,29 @@ def test_checkpoint_rejects_malformed_files(tmp_path):
         load_lstm(path)
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("outputs", 2.9, "'outputs': must be a JSON integer"), ("outputs", "2", "'outputs'"),
+    ("cells", True, "'cells'"), ("input", None, "'input'"),
+    ("projection", -2, r"w_ir: 6 values, expected shape \(3, -2\)")])
+def test_checkpoint_dims_must_be_json_integers(tmp_path, key, value, match):
+    import json
+    path = tmp_path / "model.json"
+    save_lstm(random_model(1), path)
+    obj = json.loads(path.read_text())
+    obj["dims"][key] = value
+    path.write_text(json.dumps(obj))
+    with pytest.raises(CorpusFormatError, match=match):
+        load_lstm(path)
+
+
+def test_checkpoint_version_true_is_not_version_one(tmp_path):
+    path = tmp_path / "model.json"
+    save_lstm(random_model(1), path)
+    path.write_text(path.read_text().replace('"version": 1', '"version": true'))
+    with pytest.raises(CorpusFormatError, match="version"):
+        load_lstm(path)
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         LstmTrainConfig(lr_decay=0.0)
