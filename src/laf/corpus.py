@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import numbers
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -38,12 +39,16 @@ SPLITS = ("train", "validation", "test")
 
 @dataclass(frozen=True)
 class Interval:
-    """Half-open step interval [start, end)."""
+    """Half-open step interval [start, end); numpy integer bounds are stored as ints."""
 
     start: int
     end: int
 
     def __post_init__(self):
+        for name, value in (("start", self.start), ("end", self.end)):
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ValidationError(f"interval {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if not (0 <= self.start < self.end):
             raise ValidationError(f"invalid interval [{self.start}, {self.end}): need 0 <= start < end")
 

@@ -47,12 +47,13 @@ JSON_KINDS = {bool: "a JSON boolean", int: "a JSON integer", float: "a finite JS
               str: "a JSON string", list: "a JSON list"}
 
 
-def json_value(value, kind: type, where: str, error: type[LafError] = CorpusFormatError):
+def json_value(value, kind: type, where: str, error: type[LafError] = CorpusFormatError,
+               key: str | None = None):
     """``value`` as a JSON ``kind``, the one type rule of every file laf reads.
 
     bool is not int; an int field takes only a JSON integer; a float field
     takes an integer or a finite float and returns a float; str, bool and list
-    take exactly that type.
+    take exactly that type; a failure names ``where``, then ``key`` if given.
     """
     if kind is float and type(value) in (int, float):
         try:
@@ -62,6 +63,7 @@ def json_value(value, kind: type, where: str, error: type[LafError] = CorpusForm
             pass
     elif type(value) is kind:
         return value
+    where = where if key is None else f"{where}: {key!r}"  # formatted only on failure
     raise error(f"{where}: must be {JSON_KINDS[kind]}")
 
 
@@ -74,7 +76,7 @@ def json_fields(rec, kinds: dict, where: str, optional=()) -> dict:
     fields = {}
     for key, kind in kinds.items():
         if key in rec:
-            fields[key] = json_value(rec[key], kind, f"{where}: {key!r}")
+            fields[key] = json_value(rec[key], kind, where, key=key)
         elif key in optional:
             fields[key] = None
         else:

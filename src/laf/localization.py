@@ -9,11 +9,13 @@ suppression.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import Interval, VideoSequence
 from .errors import CorpusFormatError, ValidationError
@@ -47,7 +49,7 @@ class Detection:
     score: float
 
     def __post_init__(self):
-        if not np.isfinite(self.score):
+        if not math.isfinite(self.score):
             raise ValidationError(f"detection score must be finite, got {self.score!r}")
 
 
@@ -59,9 +61,9 @@ def classify_video(step_probs: np.ndarray) -> np.ndarray:
     return step_probs.mean(axis=0)
 
 
-def sliding_window_scores(step_probs: np.ndarray, window_len: int,
-                          window_stride: int = 1) -> list[tuple[Interval, np.ndarray]]:
-    """Mean probabilities over [s, s+window_len) for s = 0, stride, 2*stride, ...
+def sliding_window_scores(step_probs: np.ndarray, window_len: int, window_stride: int = 1
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Starts, ends and (W, N) means of [s, s+window_len), s = 0, stride, ..., via a strided view.
 
     A video shorter than the window yields a single whole-video window, so
     every video stays scoreable.
@@ -70,10 +72,10 @@ def sliding_window_scores(step_probs: np.ndarray, window_len: int,
     steps = step_probs.shape[0]
     if steps < 1:
         raise ValidationError("need at least one step")
-    if steps < window_len:
-        return [(Interval(0, steps), step_probs.mean(axis=0))]
-    return [(Interval(s, s + window_len), step_probs[s:s + window_len].mean(axis=0))
-            for s in range(0, steps - window_len + 1, window_stride)]
+    length = min(window_len, steps)
+    means = sliding_window_view(step_probs, length, axis=0)[::window_stride].mean(axis=-1)
+    starts = np.arange(0, steps - length + 1, window_stride)
+    return starts, starts + length, means
 
 
 def temporal_iou(a: Interval, b: Interval) -> float:
@@ -87,33 +89,39 @@ def temporal_nms(detections: Sequence[Detection], nms_overlap: float) -> list[De
     """Greedy suppression within one label.
 
     Repeatedly keep the best remaining detection (ties: earlier start, then
-    longer window) and drop everything overlapping it by more than
-    ``nms_overlap``; the result is ordered by descending score.
+    longer window, then input order) and drop everything overlapping it by
+    more than ``nms_overlap``; the result is ordered by descending score. Each
+    kept window clears the later ones with one array row, in O(len) memory.
     """
     labels = {d.label for d in detections}
     if len(labels) > 1:
         raise ValidationError(f"temporal_nms expects a single label, got {sorted(labels)}")
-    ranked = sorted(detections, key=lambda d: (-d.score, d.interval.start, -d.interval.length))
-    kept: list[Detection] = []
-    for det in ranked:
-        if all(temporal_iou(det.interval, k.interval) <= nms_overlap for k in kept):
-            kept.append(det)
-    return kept
+    starts = np.array([d.interval.start for d in detections], dtype=np.int64)
+    ends = np.array([d.interval.end for d in detections], dtype=np.int64)
+    order = np.lexsort((starts - ends, starts, -np.array([d.score for d in detections])))
+    starts, ends = starts[order], ends[order]
+    lengths = ends - starts
+    alive = np.ones(len(order), dtype=bool)  # after the loop: the kept ranks
+    for rank in range(len(order)):
+        if alive[rank]:
+            later = slice(rank + 1, None)
+            inter = np.maximum(np.minimum(ends[later], ends[rank])
+                               - np.maximum(starts[later], starts[rank]), 0)
+            alive[later] &= inter / (lengths[rank] + lengths[later] - inter) <= nms_overlap
+    return [detections[index] for index in order[alive].tolist()]
 
 
 def localize(video_id: str, step_probs: np.ndarray,
              config: LocalizationConfig) -> dict[int, list[Detection]]:
     """Window-scored detections per label from one video's (T, N) step probabilities,
     after per-label NMS."""
-    windows = sliding_window_scores(step_probs, config.window_len, config.window_stride)
+    starts, ends, means = sliding_window_scores(step_probs, config.window_len, config.window_stride)
+    intervals = [Interval(s, e) for s, e in zip(starts.tolist(), ends.tolist())]
     result: dict[int, list[Detection]] = {}
-    for label in range(step_probs.shape[1]):
-        candidates = [Detection(video_id, label, interval, float(scores[label]))
-                      for interval, scores in windows]
-        kept = temporal_nms(candidates, config.nms_overlap)
-        if config.max_detections_per_label is not None:
-            kept = kept[:config.max_detections_per_label]
-        result[label] = kept
+    for label in range(means.shape[1]):
+        candidates = [Detection(video_id, label, interval, score)
+                      for interval, score in zip(intervals, means[:, label].tolist())]
+        result[label] = temporal_nms(candidates, config.nms_overlap)[:config.max_detections_per_label]
     return result
 
 

@@ -162,6 +162,12 @@ def test_interval_invariants():
         Interval(5, 2)
 
 
+@pytest.mark.parametrize("bounds", [(0.0, 1), (True, 2), (0, 2.0), ("0", 1), (np.True_, 3)])
+def test_interval_rejects_non_integer_bounds(bounds):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        Interval(*bounds)
+
+
 def test_with_laf_weights_requires_full_coverage(rng):
     corpus = random_corpus(rng, with_optional=False)
     weights = {v.id: np.linspace(0, 1, v.num_steps) for v in corpus.train_videos[:-1]}

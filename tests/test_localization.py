@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,29 +47,59 @@ def test_classify_video_permutation_invariant(rng):
 
 # --- sliding windows --------------------------------------------------------
 
+def window_intervals(starts, ends):
+    return [Interval(int(s), int(e)) for s, e in zip(starts, ends)]
+
+
 def test_single_window_when_length_matches():
     probs = np.random.default_rng(0).dirichlet(np.ones(3), size=10)
-    windows = sliding_window_scores(probs, window_len=10)
-    assert len(windows) == 1
-    assert windows[0][0] == Interval(0, 10)
-    np.testing.assert_allclose(windows[0][1], probs.mean(axis=0))
+    starts, ends, means = sliding_window_scores(probs, window_len=10)
+    assert window_intervals(starts, ends) == [Interval(0, 10)]
+    assert means.shape == (1, 3)
+    np.testing.assert_allclose(means[0], probs.mean(axis=0))
 
 
 def test_window_start_positions():
     probs = np.ones((12, 2)) / 2
-    windows = sliding_window_scores(probs, window_len=10, window_stride=1)
-    assert [w[0].start for w in windows] == [0, 1, 2]
-    windows = sliding_window_scores(np.ones((25, 2)) / 2, window_len=10, window_stride=5)
-    assert [w[0] for w in windows] == [Interval(0, 10), Interval(5, 15), Interval(10, 20),
-                                       Interval(15, 25)]
+    starts, _, _ = sliding_window_scores(probs, window_len=10, window_stride=1)
+    assert starts.tolist() == [0, 1, 2]
+    starts, ends, means = sliding_window_scores(np.ones((25, 2)) / 2, window_len=10,
+                                                window_stride=5)
+    assert window_intervals(starts, ends) == [Interval(0, 10), Interval(5, 15), Interval(10, 20),
+                                              Interval(15, 25)]
+    assert means.shape == (4, 2)
 
 
 def test_short_video_yields_whole_video_window():
     probs = np.random.default_rng(1).dirichlet(np.ones(2), size=5)
-    windows = sliding_window_scores(probs, window_len=10)
-    assert len(windows) == 1
-    assert windows[0][0] == Interval(0, 5)
-    np.testing.assert_allclose(windows[0][1], probs.mean(axis=0))
+    starts, ends, means = sliding_window_scores(probs, window_len=10)
+    assert window_intervals(starts, ends) == [Interval(0, 5)]
+    assert means.shape == (1, 2)
+    np.testing.assert_allclose(means[0], probs.mean(axis=0))
+
+
+@pytest.mark.parametrize("steps,labels,window_len,stride", [
+    (1000, 240, 10, 1), (1000, 240, 10, 3), (97, 13, 10, 4), (40, 5, 14, 2), (30, 4, 1, 1),
+    (7, 3, 10, 1), (1, 6, 10, 3), (12, 2, 12, 5)])
+def test_window_means_are_bitwise_the_per_slice_means(steps, labels, window_len, stride):
+    probs = np.random.default_rng(steps + labels).dirichlet(np.ones(labels), size=steps)
+    starts, ends, means = sliding_window_scores(probs, window_len, stride)
+    assert np.array_equal(means, np.array([probs[s:e].mean(axis=0) for s, e in zip(starts, ends)]))
+    length = min(window_len, steps)
+    assert starts.tolist() == list(range(0, steps - length + 1, stride))
+    assert np.array_equal(ends, starts + length)
+
+
+def test_window_means_allocate_no_window_copy():
+    probs = np.random.default_rng(2).dirichlet(np.ones(240), size=1000)
+    tracemalloc.start()
+    try:
+        sliding_window_scores(probs, window_len=10, window_stride=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (991, 240) means are 1.9 MB; a copied (991, 240, 10) window array is 19 MB
+    assert peak < 4e6
 
 
 # --- temporal IoU -----------------------------------------------------------
@@ -132,6 +163,30 @@ def test_nms_matches_brute_force_on_random_small_inputs():
                       for s, l in zip(rng.integers(0, 12, count), rng.integers(1, 8, count))]
         overlap = float(rng.choice([0.0, 0.2, 0.5, 0.8]))
         assert temporal_nms(detections, overlap) == brute_force_nms(detections, overlap)
+
+
+def test_nms_full_ties_keep_input_order():
+    first, second = det(2, 7, 0.5, video="a"), det(2, 7, 0.5, video="b")
+    assert temporal_nms([first, second], 0.5) == [first]
+    assert temporal_nms([second, first], 0.5) == [second]
+
+
+def test_localize_matches_brute_force_nms_on_every_label():
+    rng = np.random.default_rng(10)
+    for case in range(40):
+        steps, labels = int(rng.integers(1, 60)), int(rng.integers(1, 5))
+        # quantized scores: most windows tie with several others
+        probs = np.round(rng.random((steps, labels)) * 4) / 4
+        config = LocalizationConfig(window_len=int(rng.integers(1, 12)),
+                                    window_stride=int(rng.integers(1, 4)),
+                                    nms_overlap=float(rng.choice([0.0, 0.2, 0.5, 0.8, 0.95])))
+        result = localize("v", probs, config)
+        length = min(config.window_len, steps)
+        for label in range(labels):
+            candidates = [det(s, s + length, float(probs[s:s + length].mean(axis=0)[label]),
+                              label=label)
+                          for s in range(0, steps - length + 1, config.window_stride)]
+            assert result[label] == brute_force_nms(candidates, config.nms_overlap), case
 
 
 def test_nms_output_is_an_antichain(rng):
@@ -232,6 +287,15 @@ def test_max_detections_cut():
 
 
 # --- detections file --------------------------------------------------------
+
+def test_detection_with_numpy_integer_bounds_saves_and_loads_equal(tmp_path):
+    start, label = np.random.default_rng(3).integers(0, 50, size=2)
+    detection = Detection("v0", int(label), Interval(start, start + 10), 0.5)
+    assert type(detection.interval.start) is int and type(detection.interval.end) is int
+    path = tmp_path / "det.jsonl"
+    save_detections([detection], path)
+    assert load_detections(path) == [detection]
+
 
 def test_detections_round_trip_and_ordering(tmp_path):
     detections = [det(0, 10, 0.5, label=1, video="b"), det(3, 9, 0.75, label=0, video="a"),
