@@ -2,11 +2,11 @@
 
 Subcommands mirror the pipeline stages and are composable through files:
 
-    laf synth    --config cfg.json --out corpus.jsonl
-    laf transfer --config cfg.json --corpus corpus.jsonl --out corpus.laf.jsonl
-    laf train    --config cfg.json --corpus corpus.laf.jsonl --mode laf --out lstm.json
-    laf localize --config cfg.json --checkpoint lstm.json --corpus corpus.laf.jsonl --out det.jsonl
-    laf eval     --config cfg.json --detections det.jsonl --corpus corpus.laf.jsonl --out report.json
+    laf synth    --config cfg.json --out corpus.bin
+    laf transfer --config cfg.json --corpus corpus.bin --out corpus.laf.bin
+    laf train    --config cfg.json --corpus corpus.laf.bin --mode laf --out lstm.json
+    laf localize --config cfg.json --checkpoint lstm.json --corpus corpus.laf.bin --out det.jsonl
+    laf eval     --config cfg.json --detections det.jsonl --corpus corpus.laf.bin --out report.json
     laf pipeline --config cfg.json --out-dir run/
 
 ``--seed`` overrides every stage seed from the config. Exit codes: 0 success,
@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     _add_common(p)
-    p.add_argument("--out", required=True, help="corpus output path (JSON Lines)")
+    p.add_argument("--out", required=True, help="corpus output path (laf-corpus v2)")
     p.add_argument("--modes-out", help="sidecar JSON of Gaussian mode centers")
 
     p = sub.add_parser("transfer", help="run domain transfer and attach LAF weights")

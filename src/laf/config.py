@@ -31,9 +31,9 @@ TRAIN_MODES = ("laf", "uniform", "random30")
 class PipelinePaths:
     """Relative artifact names used by the pipeline command."""
 
-    corpus: str = "corpus.jsonl"
+    corpus: str = "corpus.bin"
     mode_centers: str = "mode_centers.json"
-    annotated_corpus: str = "corpus.laf.jsonl"
+    annotated_corpus: str = "corpus.laf.bin"
     proposal_model: str = "proposal_model.json"
     transfer_log: str = "transfer_log.json"
     lstm_model: str = "lstm_model.json"

@@ -1,39 +1,34 @@
-"""Domain types and JSON Lines (de)serialization for corpora.
+"""Domain types and the corpus file (laf-corpus version 2).
 
 A corpus holds a web-image pool with noisy action labels plus weakly-labeled
 video sequences split into train / validation / test. Frames and images are
 opaque fixed-dimension float64 feature vectors; one video step is one sampled
 frame. Labels are integer indices in ``[0, num_labels)``.
 
-File format (one JSON object per line):
-
-    {"format": "laf-corpus", "version": 1, "num_labels": N, "feature_dim": d}
-    {"kind": "image", "id": ..., "label": ..., "feature": "<base64 f64le>"[, "relevant": bool]}
-    {"kind": "video", "split": "train|validation|test", "id": ..., "label": ...,
-     "frames": ["<base64 f64le>", ...][, "gt_segments": [[s, e], ...]][, "laf_weights": [...]]}
-
-Feature values are base64-encoded IEEE-754 64-bit little-endian arrays, so a
-save/load round trip is bit-exact.
+A file holds a JSON header line, one JSON line per image or video (the record
+without its features), then one payload of little-endian float64 rows: each
+image's feature, then each video's ``steps`` frames, in record order, checked
+by the header's sha256. The loader reads the file once and hands out read-only
+views into the payload, so round trips are bit-exact. README has the keys.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from .errors import CorpusFormatError, ValidationError
-from .ioutil import (atomic_write_text, decode_f64, decode_f64_rows, encode_f64, json_fields,
-                     json_floats, json_value, read_json_lines)
+from .ioutil import atomic_write_bytes, json_fields, json_floats, json_line, json_value
 
 CORPUS_FORMAT = "laf-corpus"
-CORPUS_VERSION = 1
+CORPUS_VERSION = 2
 SPLITS = ("train", "validation", "test")
 
 
@@ -116,7 +111,9 @@ class VideoSequence:
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """Web images plus videos; labels lie in [0, num_labels), every feature has
-    ``feature_dim`` values, and video ids are unique across the splits."""
+    ``feature_dim`` values, and video ids are unique across the splits.
+    ``lines`` (from the loader) holds each record's file line for error messages.
+    """
 
     num_labels: int
     feature_dim: int
@@ -124,24 +121,25 @@ class Corpus:
     train_videos: tuple[VideoSequence, ...]
     validation_videos: tuple[VideoSequence, ...]
     test_videos: tuple[VideoSequence, ...]
+    lines: InitVar[list[int] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, lines):
         if self.num_labels < 1 or self.feature_dim < 1:
             raise ValidationError(f"corpus needs num_labels >= 1 and feature_dim >= 1, "
                                   f"got {self.num_labels} and {self.feature_dim}")
         video_ids: set[str] = set()
-        for record in (*self.images, *self.all_videos):
-            self.check_member(record, video_ids)
+        for index, record in enumerate((*self.images, *self.all_videos)):
+            self._check_member(record, video_ids, "" if lines is None else f"line {lines[index]}: ")
 
     @property
     def all_videos(self) -> tuple[VideoSequence, ...]:
         return self.train_videos + self.validation_videos + self.test_videos
 
-    def check_member(self, record: WebImage | VideoSequence, video_ids: set[str]) -> None:
-        """Check one record's label and width against the corpus; ``video_ids``
-        holds the ids of the videos checked before it and gains this one."""
+    def _check_member(self, record: WebImage | VideoSequence, video_ids: set[str], where: str):
+        """Check one record's label and width against the corpus (errors begin with
+        ``where``); ``video_ids`` holds the videos checked before it and gains this one."""
         is_video = isinstance(record, VideoSequence)
-        where = f"{'video' if is_video else 'image'} {record.id!r}"
+        where += f"{'video' if is_video else 'image'} {record.id!r}"
         if not isinstance(record.label, numbers.Integral) or isinstance(record.label, bool) \
                 or not 0 <= record.label < self.num_labels:
             raise ValidationError(f"{where}: label {record.label!r} is not an integer in "
@@ -156,18 +154,20 @@ class Corpus:
             video_ids.add(record.id)
 
 
-HEADER_KINDS = {"format": str, "version": int, "num_labels": int, "feature_dim": int}
-IMAGE_KINDS = {"id": str, "label": int, "feature": str, "relevant": bool}
-VIDEO_KINDS = {"split": str, "id": str, "label": int, "frames": list, "gt_segments": list,
+HEADER_KINDS = {"format": str, "version": int, "num_labels": int, "feature_dim": int,
+                "records": int, "rows": int, "sha256": str}
+IMAGE_KINDS = {"id": str, "label": int, "relevant": bool}
+VIDEO_KINDS = {"split": str, "id": str, "label": int, "steps": int, "gt_segments": list,
                "laf_weights": list}
 OPTIONAL_KEYS = ("relevant", "gt_segments", "laf_weights")
 
 
-def _parse_header(rec) -> Corpus:
-    header = json_fields(rec, HEADER_KINDS, "header")
-    if header["format"] != CORPUS_FORMAT or header["version"] != CORPUS_VERSION:
-        raise CorpusFormatError(f"expected a {CORPUS_FORMAT!r} version {CORPUS_VERSION} header")
-    return Corpus(header["num_labels"], header["feature_dim"], (), (), (), ())
+def _parse_header(rec) -> dict:
+    version = json_fields(rec, {"format": str, "version": int}, "line 1: header")
+    if version != {"format": CORPUS_FORMAT, "version": CORPUS_VERSION}:
+        raise CorpusFormatError(f"line 1: expected a {CORPUS_FORMAT!r} version {CORPUS_VERSION} "
+                                f"header, got {version['format']!r} version {version['version']}")
+    return json_fields(rec, HEADER_KINDS, "line 1: header")
 
 
 def _interval(pair) -> Interval:
@@ -176,61 +176,71 @@ def _interval(pair) -> Interval:
     return Interval(*(json_value(v, int, f"gt segment {pair!r}") for v in pair))
 
 
-def _parse_record(rec) -> tuple[str, WebImage | VideoSequence]:
-    """("image", image) or (split, video) from one parsed record line."""
+def _parse_record(rec, table: np.ndarray, row: int) -> tuple[str, WebImage | VideoSequence]:
+    """("image", image) or (split, video) from one record line and the payload rows at ``row``."""
     kind = rec.get("kind") if isinstance(rec, dict) else None
-    if kind == "image":
-        image = json_fields(rec, IMAGE_KINDS, "image record", OPTIONAL_KEYS)
-        return kind, WebImage(image["id"], image["label"], decode_f64(image["feature"], "feature"),
-                              image["relevant"])
-    if kind != "video":
+    if kind not in ("image", "video"):
         raise CorpusFormatError(f"expected an image or video record, got kind {kind!r}")
-    video = json_fields(rec, VIDEO_KINDS, "video record", OPTIONAL_KEYS)
-    if video["split"] not in SPLITS:
-        raise CorpusFormatError(f"unknown split {video['split']!r}")
-    segments, weights = video["gt_segments"], video["laf_weights"]
-    return video["split"], VideoSequence(
-        video["id"], video["label"], decode_f64_rows(video["frames"], "frames"),
+    fields = json_fields(rec, VIDEO_KINDS if kind == "video" else IMAGE_KINDS, f"{kind} record",
+                         OPTIONAL_KEYS)
+    count = fields.get("steps", 1)
+    if not 1 <= count <= len(table) - row:
+        raise CorpusFormatError(f"needs {count} payload rows, but 1 to {len(table) - row} are left")
+    if kind == "image":
+        return kind, WebImage(fields["id"], fields["label"], table[row], fields["relevant"])
+    if fields["split"] not in SPLITS:
+        raise CorpusFormatError(f"unknown split {fields['split']!r}")
+    segments, weights = fields["gt_segments"], fields["laf_weights"]
+    return fields["split"], VideoSequence(
+        fields["id"], fields["label"], table[row:row + count],
         gt_segments=None if segments is None else tuple(map(_interval, segments)),
         laf_weights=None if weights is None else json_floats(weights, "laf_weights"))
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Parse a corpus file; raises with the offending line number on bad input."""
-    header: Corpus | None = None
-    video_ids: set[str] = set()
-    records: dict[str, list] = {"image": [], **{split: [] for split in SPLITS}}
-    for line_no, rec in read_json_lines(path):
+    """Read a corpus file once; an error names the offending line or the payload."""
+    data = Path(path).read_bytes()
+    if not data:
+        raise CorpusFormatError(f"{path}: no records")
+    starts, header = [0], {"records": 0}  # where each text line starts, then the payload
+    while len(starts) < header["records"] + 2:
+        end = data.find(b"\n", starts[-1])
+        if end < 0:
+            raise CorpusFormatError(f"line {len(starts)}: missing; the file ends before it")
+        if len(starts) == 1:
+            header = _parse_header(json_line(data[:end], 1))
+        starts.append(end + 1)
+    size, rows = len(data) - starts[-1], header["rows"]  # of the payload
+    width, extra = divmod(size, 8 * rows) if rows else (1, size)
+    if extra or width < 1:
+        raise CorpusFormatError(f"payload: {size} bytes are not {rows} rows of float64 values")
+    if hashlib.sha256(memoryview(data)[starts[-1]:]).hexdigest() != header["sha256"]:
+        raise CorpusFormatError("payload: its sha256 does not match the header's")
+    table, row = np.frombuffer(data, "<f8", rows * width, starts[-1]).reshape(rows, width), 0
+    groups: dict[str, list] = {"image": [], **{split: [] for split in SPLITS}}
+    for line_no in range(2, len(starts)):
+        rec = json_line(data[starts[line_no - 1]:starts[line_no] - 1], line_no)
         try:
-            if header is None:
-                header = _parse_header(rec)
-            else:
-                group, record = _parse_record(rec)
-                header.check_member(record, video_ids)
-                records[group].append(record)
+            group, record = _parse_record(rec, table, row)
         except ValidationError as exc:
             raise type(exc)(f"line {line_no}: {exc}") from exc
-    if header is None:
-        raise ValidationError(f"{path}: no records")
-    return Corpus(header.num_labels, header.feature_dim, tuple(records["image"]),
-                  *(tuple(records[split]) for split in SPLITS))
+        groups[group].append((line_no, record))
+        row += 1 if group == "image" else record.num_steps
+    if row != rows:
+        raise CorpusFormatError(f"payload: {rows} rows, but the records use {row}")
+    return Corpus(header["num_labels"], header["feature_dim"],
+                  *(tuple(record for _, record in group) for group in groups.values()),
+                  lines=[line_no for group in groups.values() for line_no, _ in group])
 
 
 def _image_record(img: WebImage) -> dict:
-    rec = {"kind": "image", "id": img.id, "label": int(img.label), "feature": encode_f64(img.feature)}
-    if img.relevant is not None:
-        rec["relevant"] = bool(img.relevant)
-    return rec
+    rec = {"kind": "image", "id": img.id, "label": int(img.label)}
+    return rec if img.relevant is None else {**rec, "relevant": bool(img.relevant)}
 
 
 def _video_record(vid: VideoSequence, split: str) -> dict:
-    rec = {
-        "kind": "video",
-        "split": split,
-        "id": vid.id,
-        "label": int(vid.label),
-        "frames": [encode_f64(frame) for frame in vid.frames],
-    }
+    rec = {"kind": "video", "split": split, "id": vid.id, "label": int(vid.label),
+           "steps": vid.num_steps}
     if vid.gt_segments is not None:
         rec["gt_segments"] = [[seg.start, seg.end] for seg in vid.gt_segments]
     if vid.laf_weights is not None:
@@ -238,20 +248,19 @@ def _video_record(vid: VideoSequence, split: str) -> dict:
     return rec
 
 
-def corpus_lines(corpus: Corpus) -> Iterable[str]:
-    dump = lambda obj: json.dumps(obj, separators=(",", ":"))
-    yield dump({"format": CORPUS_FORMAT, "version": CORPUS_VERSION,
-                "num_labels": corpus.num_labels, "feature_dim": corpus.feature_dim})
-    for img in corpus.images:
-        yield dump(_image_record(img))
-    for split in SPLITS:
-        for vid in getattr(corpus, f"{split}_videos"):
-            yield dump(_video_record(vid, split))
-
-
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write the corpus atomically; round-trips bit-exactly through load_corpus."""
-    atomic_write_text(path, "\n".join(corpus_lines(corpus)) + "\n")
+    videos = [(split, vid) for split in SPLITS for vid in getattr(corpus, f"{split}_videos")]
+    records = [_image_record(img) for img in corpus.images] + \
+        [_video_record(vid, split) for split, vid in videos]
+    payload = np.concatenate([np.empty((0, corpus.feature_dim))]
+                             + [np.reshape(img.feature, (1, -1)) for img in corpus.images]
+                             + [vid.frames for _, vid in videos], dtype="<f8")
+    header = {"format": CORPUS_FORMAT, "version": CORPUS_VERSION, "num_labels": corpus.num_labels,
+              "feature_dim": corpus.feature_dim, "records": len(records), "rows": len(payload),
+              "sha256": hashlib.sha256(payload).hexdigest()}
+    text = "\n".join(json.dumps(rec, separators=(",", ":")) for rec in (header, *records)).encode()
+    atomic_write_bytes(path, text + b" " * (-(len(text) + 1) % 8) + b"\n", payload)
 
 
 def with_laf_weights(corpus: Corpus, weights: dict[str, np.ndarray]) -> Corpus:

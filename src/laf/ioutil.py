@@ -23,24 +23,13 @@ def encode_f64(values: np.ndarray) -> str:
 
 def decode_f64(text: str, where: str = "", shape: tuple | None = None) -> np.ndarray:
     """Inverse of :func:`encode_f64`; a read-only float64 array, 1-D or of ``shape``."""
-    flat = decode_f64_rows([text], where)[0]
-    if shape is None:
-        return flat
-    if min(shape) < 0 or flat.size != math.prod(shape):
-        raise CorpusFormatError(f"{where}: {flat.size} values, expected shape {shape}")
-    return flat.reshape(shape)
-
-
-def decode_f64_rows(texts: list, where: str = "") -> np.ndarray:
-    """Decode :func:`encode_f64` strings of one byte length into a read-only (n, w) array."""
     try:
-        rows = [base64.b64decode(text.encode("ascii"), validate=True) for text in texts]
-    except (AttributeError, ValueError) as exc:  # not a string, not ASCII, or not base64
-        raise CorpusFormatError(f"{where}: invalid base64 feature data ({exc})") from exc
-    sizes = {len(row) for row in rows}
-    if len(sizes) > 1 or sum(sizes) % 8:
-        raise CorpusFormatError(f"{where}: rows of {sorted(sizes)} bytes; need one multiple of 8")
-    return np.frombuffer(b"".join(rows), dtype="<f8").reshape(len(rows), sum(sizes) // 8)
+        flat = np.frombuffer(base64.b64decode(text.encode("ascii"), validate=True), dtype="<f8")
+    except (AttributeError, ValueError) as exc:  # not ASCII base64 of whole float64 values
+        raise CorpusFormatError(f"{where}: invalid base64 float64 data ({exc})") from exc
+    if shape is not None and (min(shape) < 0 or flat.size != math.prod(shape)):
+        raise CorpusFormatError(f"{where}: {flat.size} values, expected shape {shape}")
+    return flat if shape is None else flat.reshape(shape)
 
 
 JSON_KINDS = {bool: "a JSON boolean", int: "a JSON integer", float: "a finite JSON number",
@@ -92,21 +81,21 @@ def json_floats(values, where: str) -> np.ndarray:
     return out
 
 
-def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
-    """(line number, value) of each nonblank line of a JSON Lines file; a line that
-    is not UTF-8 or not JSON raises naming its number."""
+def json_line(raw: bytes, line_no: int):
+    """The JSON value of one line's bytes; an error names the line."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:  # exc.object holds the whole file's bytes
-        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
         raise CorpusFormatError(f"line {line_no}: not UTF-8 text ({exc.reason})") from exc
-    for line_no, line in enumerate(lines, start=1):
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
+
+
+def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
+    """(line number, value) of each nonblank line of a JSON Lines file."""
+    for line_no, line in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
         if line.strip():
-            try:
-                value = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-                raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-            yield line_no, value
+            yield line_no, json_line(line, line_no)
 
 
 def read_json_object(path: str | Path, fmt: str | None = None, version: int | None = None,
@@ -128,21 +117,23 @@ def read_json_object(path: str | Path, fmt: str | None = None, version: int | No
     return obj
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write the full text to a temp file in the target directory, then rename.
-
-    Guarantees no partially-written output file is left behind on error.
-    """
+def atomic_write_bytes(path: str | Path, *chunks) -> None:
+    """Write the bytes-like ``chunks`` to a temp file in the target directory,
+    then rename it; no partially-written output file is left behind on error."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_json(path: str | Path, obj) -> None:

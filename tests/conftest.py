@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,20 @@ def assert_corpora_equal(a: Corpus, b: Corpus):
         assert len(xs) == len(ys)
         for x, y in zip(xs, ys):
             assert_videos_equal(x, y)
+
+
+def corpus_parts(path) -> tuple[list[bytes], bytes]:
+    """A corpus file's text lines (header first) and its binary payload."""
+    data = path.read_bytes()
+    records = json.loads(data[:data.index(b"\n")])["records"]
+    *lines, payload = data.split(b"\n", records + 1)
+    return lines, payload
+
+
+def edit_corpus_lines(path, edit) -> None:
+    """Replace a corpus file's text lines by ``edit(lines)``; the payload stays as is."""
+    lines, payload = corpus_parts(path)
+    path.write_bytes(b"\n".join([*edit(lines), payload]))
 
 
 @pytest.fixture

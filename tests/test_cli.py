@@ -17,6 +17,8 @@ from laf.lstm import PARAM_FIELDS, load_lstm, train_lstm
 from laf.config import run_config_from_dict
 from laf.pipeline import training_videos_for_mode
 
+from conftest import edit_corpus_lines
+
 TINY = {
     "seed": 3,
     "synth": {"num_activities": 2, "actions_per_activity": 2, "feature_dim": 8,
@@ -303,12 +305,10 @@ DETECTION_LINES = {  # one detection record each, with a field of the wrong JSON
 
 
 def update_test_videos(corpus_path, fields):
-    """Set ``fields`` on every test-video record of a corpus file."""
-    lines = corpus_path.read_text().splitlines()
-    for index, line in enumerate(lines):
-        if '"split":"test"' in line:
-            lines[index] = json.dumps({**json.loads(line), **fields})
-    corpus_path.write_text("\n".join(lines) + "\n")
+    """Set ``fields`` on every test-video record line of a corpus file."""
+    edit_corpus_lines(corpus_path, lambda lines: [
+        json.dumps({**json.loads(line), **fields}).encode() if b'"split":"test"' in line else line
+        for line in lines])
 
 
 def malformed_call(case, config_path, tmp_path):
@@ -318,7 +318,8 @@ def malformed_call(case, config_path, tmp_path):
     if case in CORPUS_EDITS:
         update_test_videos(corpus_path, CORPUS_EDITS[case])
     elif case == "corpus_not_utf8":
-        corpus_path.write_bytes(corpus_path.read_bytes().replace(b'"test"', b'"t\xffst"', 1))
+        edit_corpus_lines(corpus_path, lambda lines: [
+            line.replace(b'"test"', b'"t\xffst"') for line in lines])
     bad = tmp_path / "bad.json"
     bad.write_text("[]")
     detections = tmp_path / "det.jsonl"

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,18 @@ import pytest
 from laf.corpus import Corpus, Interval, load_corpus, save_corpus, with_laf_weights
 from laf.errors import CorpusFormatError, ValidationError
 
-from conftest import assert_corpora_equal, make_image, make_video, random_corpus
+from conftest import (assert_corpora_equal, corpus_parts, edit_corpus_lines, make_image,
+                      make_video, random_corpus)
+
+
+def write_corpus_file(path, records, rows=(), num_labels=1, feature_dim=1):
+    """A version-2 corpus file of literal record lines (dicts or raw text) and payload rows."""
+    payload = np.asarray(rows, dtype="<f8").tobytes()
+    header = {"format": "laf-corpus", "version": 2, "num_labels": num_labels,
+              "feature_dim": feature_dim, "records": len(records), "rows": len(rows),
+              "sha256": hashlib.sha256(payload).hexdigest()}
+    lines = [rec if isinstance(rec, str) else json.dumps(rec) for rec in (header, *records)]
+    path.write_bytes("".join(line + "\n" for line in lines).encode() + payload)
 
 
 def test_minimal_corpus_loads(tmp_path):
@@ -58,7 +71,7 @@ def test_round_trip_preserves_optional_absence(tmp_path):
     assert loaded.train_videos[0].gt_segments is None
     assert loaded.train_videos[0].laf_weights is None
     # and no spurious keys on disk
-    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records = [json.loads(line) for line in corpus_parts(path)[0]]
     assert "relevant" not in records[1] and "gt_segments" not in records[2]
 
 
@@ -79,53 +92,52 @@ def test_empty_file_rejected(tmp_path):
 
 def test_parse_error_names_line(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"format":"laf-corpus","version":1,"num_labels":1,"feature_dim":2}\n'
-                    "{not json}\n")
+    write_corpus_file(path, ["{not json}"], feature_dim=2)
     with pytest.raises(CorpusFormatError, match="line 2"):
         load_corpus(path)
 
 
 def test_dimension_mismatch_names_record(tmp_path):
-    corpus = Corpus(1, 3, (make_image(0, 0, [1.0, 2.0, 3.0]),), (), (), ())
+    image = make_image(0, 0, [1.0, 2.0, 3.0])
+    with pytest.raises(ValidationError, match="image 'img-0': feature dimension 3"):
+        Corpus(1, 2, (image,), (), (), ())
     path = tmp_path / "c.jsonl"
-    save_corpus(corpus, path)
-    lines = path.read_text().splitlines()
-    lines[0] = json.dumps({"format": "laf-corpus", "version": 1, "num_labels": 1, "feature_dim": 2})
-    path.write_text("\n".join(lines) + "\n")
+    save_corpus(Corpus(1, 3, (image,), (), (), ()), path)
+    edit_corpus_lines(path, lambda lines: [lines[0].replace(b'"feature_dim":3', b'"feature_dim":2'),
+                                           *lines[1:]])
     with pytest.raises(ValidationError, match="line 2.*dimension"):
         load_corpus(path)
 
 
 def test_header_required(tmp_path):
     path = tmp_path / "c.jsonl"
-    path.write_text('{"kind":"image","id":"a","label":0,"feature":""}\n')
+    path.write_text('{"kind":"image","id":"a","label":0}\n')
     with pytest.raises(CorpusFormatError, match="header"):
         load_corpus(path)
 
 
 def test_unknown_kind_rejected(tmp_path):
     path = tmp_path / "c.jsonl"
-    path.write_text('{"format":"laf-corpus","version":1,"num_labels":1,"feature_dim":1}\n'
-                    '{"kind":"audio","id":"a"}\n')
+    write_corpus_file(path, [{"kind": "audio", "id": "a"}])
     with pytest.raises(CorpusFormatError, match="kind"):
         load_corpus(path)
 
 
 def test_label_out_of_range_rejected(tmp_path):
-    corpus = Corpus(5, 1, (make_image(0, 4, [0.0]),), (), (), ())
+    with pytest.raises(ValidationError, match="image 'img-0': label 7"):
+        Corpus(5, 1, (make_image(0, 7, [0.0]),), (), (), ())
     path = tmp_path / "c.jsonl"
-    save_corpus(corpus, path)
-    text = path.read_text().replace('"label":4', '"label":7')
-    path.write_text(text)
-    with pytest.raises(ValidationError, match="label"):
+    save_corpus(Corpus(5, 1, (make_image(0, 4, [0.0]),), (), (), ()), path)
+    edit_corpus_lines(path, lambda lines: [line.replace(b'"label":4', b'"label":7')
+                                           for line in lines])
+    with pytest.raises(ValidationError, match="line 2: image 'img-0': label 7"):
         load_corpus(path)
 
 
 def test_weights_out_of_range_rejected(tmp_path):
     path = tmp_path / "c.jsonl"
-    path.write_text('{"format":"laf-corpus","version":1,"num_labels":1,"feature_dim":1}\n'
-                    + json.dumps({"kind": "video", "split": "train", "id": "v", "label": 0,
-                                  "frames": ["AAAAAAAAAAA="], "laf_weights": [1.5]}) + "\n")
+    write_corpus_file(path, [{"kind": "video", "split": "train", "id": "v", "label": 0,
+                              "steps": 1, "laf_weights": [1.5]}], [[0.0]])
     with pytest.raises(ValidationError, match="laf_weights"):
         load_corpus(path)
 
@@ -145,9 +157,8 @@ def test_duplicate_video_id_rejected(tmp_path):
     with pytest.raises(ValidationError, match="video 'test-0': duplicate video id"):
         Corpus(2, 1, (), (), (), (first, second))
     path = tmp_path / "c.jsonl"
-    save_corpus(Corpus(2, 1, (), (), (), (first,)), path)
-    line = path.read_text().splitlines()[1]
-    path.write_text(path.read_text() + line + "\n")
+    record = {"kind": "video", "split": "test", "id": "test-0", "label": 0, "steps": 1}
+    write_corpus_file(path, [record, {**record, "label": 1}], [[0.0], [1.0]], num_labels=2)
     with pytest.raises(ValidationError, match="line 3: .*duplicate video id"):
         load_corpus(path)
 
@@ -185,3 +196,115 @@ def test_with_laf_weights_rejects_weights_outside_unit_interval(rng):
         weights[corpus.train_videos[0].id][-1] = bad
         with pytest.raises(ValidationError, match="laf_weights"):
             with_laf_weights(corpus, weights)
+
+
+def test_round_trip_is_bit_exact_for_extreme_values(tmp_path):
+    extremes = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.225e-308, 1e-310, 1e308, -1e308,
+                         np.finfo(np.float64).max, np.nextafter(1.0, 2.0)])
+    frames = np.stack([extremes, -extremes[::-1], extremes * 0.5])
+    corpus = Corpus(1, len(extremes), (make_image(0, 0, extremes), make_image(1, 0, -extremes)),
+                    (make_video(0, 0, frames, weights=[0.0, 5e-324, 1.0]),), (), ())
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    loaded = load_corpus(path)
+    for before, after in [(img.feature, loaded.images[i].feature)
+                          for i, img in enumerate(corpus.images)] + [
+            (frames, loaded.train_videos[0].frames),
+            (corpus.train_videos[0].laf_weights, loaded.train_videos[0].laf_weights)]:
+        assert after.tobytes() == np.asarray(before, dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize("damage", ["flip", "truncate_byte", "truncate_row", "extra_byte",
+                                    "extra_row"])
+def test_damaged_payload_is_a_format_error(tmp_path, rng, damage):
+    path = tmp_path / "c.jsonl"
+    save_corpus(random_corpus(rng), path)
+    lines, payload = corpus_parts(path)
+    payload = {"flip": lambda p: p[:5] + bytes([p[5] ^ 0x01]) + p[6:],
+               "truncate_byte": lambda p: p[:-1], "truncate_row": lambda p: p[:-8 * 4],
+               "extra_byte": lambda p: p + b"\0", "extra_row": lambda p: p + bytes(8 * 4)}[damage](payload)
+    path.write_bytes(b"\n".join([*lines, payload]))
+    with pytest.raises(CorpusFormatError, match="^payload: "):
+        load_corpus(path)
+
+
+VIDEO = {"kind": "video", "split": "train", "id": "v", "label": 0}
+
+
+@pytest.mark.parametrize("steps, rows, error", [
+    (3, [[0.0], [1.0]], "^line 2: needs 3 payload rows, but 1 to 2 are left$"),
+    (0, [[0.0]], "^line 2: needs 0 payload rows"),
+    (1, [[0.0], [1.0]], "^payload: 2 rows, but the records use 1$")])
+def test_record_rows_must_match_the_payload(tmp_path, steps, rows, error):
+    path = tmp_path / "c.jsonl"
+    write_corpus_file(path, [{**VIDEO, "steps": steps}], rows)
+    with pytest.raises(CorpusFormatError, match=error):
+        load_corpus(path)
+
+
+def test_missing_record_line_is_named(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_corpus_file(path, [{**VIDEO, "steps": 1}], [[0.0]])
+    edit_corpus_lines(path, lambda lines: [lines[0].replace(b'"records": 1', b'"records": 2'),
+                                           *lines[1:]])
+    with pytest.raises(CorpusFormatError, match="^line 3: missing"):
+        load_corpus(path)
+
+
+def test_load_checks_each_record_once(tmp_path, rng, monkeypatch):
+    corpus = random_corpus(rng)
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    checked, check = [], Corpus._check_member
+
+    def counted(self, record, *args):
+        checked.append(record)
+        return check(self, record, *args)
+
+    monkeypatch.setattr(Corpus, "_check_member", counted)
+    load_corpus(path)
+    assert len(checked) == len(corpus.images) + len(corpus.all_videos)
+
+
+def test_version_1_file_fails_with_one_message(tmp_path):
+    path = tmp_path / "v1.jsonl"
+    path.write_text('{"format":"laf-corpus","version":1,"num_labels":1,"feature_dim":1}\n'
+                    '{"kind":"image","id":"a","label":0,"feature":"AAAAAAAAAAA="}\n')
+    with pytest.raises(CorpusFormatError, match="^line 1: expected a 'laf-corpus' version 2 "
+                                                "header, got 'laf-corpus' version 1$"):
+        load_corpus(path)
+
+
+def test_loaded_features_are_read_only_views_of_the_file(tmp_path, rng):
+    path = tmp_path / "c.jsonl"
+    save_corpus(random_corpus(rng), path)
+    loaded = load_corpus(path)
+    features = [img.feature for img in loaded.images] + [v.frames for v in loaded.all_videos]
+
+    def owner(array):
+        while isinstance(array, np.ndarray):
+            array = array.base
+        return array
+
+    assert not any(a.flags.writeable or a.flags.owndata for a in features)
+    assert len({id(owner(a)) for a in features}) == 1
+    assert isinstance(owner(features[0]), bytes)
+
+
+def test_loading_makes_no_copy_of_the_payload(tmp_path):
+    rng = np.random.default_rng(5)
+    videos = tuple(make_video(i, i % 4, rng.normal(size=(int(rng.integers(120, 200)), 64)))
+                   for i in range(100))
+    images = tuple(make_image(i, i % 4, rng.normal(size=64)) for i in range(200))
+    path = tmp_path / "c.jsonl"
+    save_corpus(Corpus(4, 64, images, videos, (), ()), path)
+    size = path.stat().st_size
+    assert size > 7e6
+    tracemalloc.start()
+    try:
+        loaded = load_corpus(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded.train_videos) == 100
+    assert peak < 1.5 * size, (peak, size)

@@ -5,12 +5,16 @@ Small valid inputs are built once: the corpus, detections and scores of
 classifier checkpoint. Each example corrupts one of them in a way that always
 leaves it malformed:
 
-* truncation inside a record, so the record is no longer whole JSON;
-* a byte flip (XOR 0x80), which leaves these ASCII files invalid UTF-8;
+* truncation inside a record, so the record is no longer whole JSON (and a
+  corpus loses its payload);
+* a byte flip (XOR 0x80), which leaves the JSON text invalid UTF-8;
 * one JSON value swapped for a value of another type: a string, an integer,
   a float, a boolean, null, a (nested) list, NaN or Infinity. Null is not
   swapped in where a key is optional (the config's ``seed`` and
-  ``lstm.gradient_clip``), since that leaves the document valid.
+  ``lstm.gradient_clip``), since that leaves the document valid;
+* for the corpus, whose record lines are followed by a binary payload: the
+  three above on the record lines with the payload kept intact, plus a flip
+  of one payload byte and a truncation inside the payload.
 
 The CLI must then exit 1 or 2 with exactly one ``error:`` or ``i/o error:``
 line on stderr, write no output, and let no exception escape. No command
@@ -21,7 +25,7 @@ reads the classifier checkpoint, so ``load_classifier`` must raise
 import contextlib
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +42,8 @@ from laf.ioutil import atomic_write_json
 from laf.localization import Detection, save_detections
 from laf.lstm import init_model, save_lstm
 from laf.synth import SynthSpec, generate_corpus
+
+from conftest import corpus_parts
 
 SPEC = SynthSpec(num_activities=2, actions_per_activity=2, feature_dim=3,
                  train_videos_per_action=1, validation_videos_per_action=1,
@@ -82,6 +88,7 @@ class CliInputs:
     records: dict  # file name -> its JSON texts: one per line, or the whole document
     argv: list
     outputs: tuple  # file names the call writes
+    payloads: dict = field(default_factory=dict)  # file name -> bytes after its JSON lines
 
     def argv_with(self, name: str, content: bytes) -> list[str]:
         """The call with file ``name`` replaced by a file holding ``content``."""
@@ -115,14 +122,15 @@ def inputs(tmp_path_factory):
     atomic_write_json(root / "scores.json",
                       {v.id: [1.0 / SPEC.num_labels] * SPEC.num_labels for v in corpus.test_videos})
     (root / "config.json").write_text(json.dumps({"eval": {"hit_ks": [1, 2]}}))
-    records = {name: (root / name).read_text().splitlines()
-               for name in ("corpus.jsonl", "detections.jsonl")}
-    records["scores.json"] = whole(root / "scores.json")
+    lines, payload = corpus_parts(root / "corpus.jsonl")
+    records = {"corpus.jsonl": [line.decode("ascii") for line in lines],
+               "detections.jsonl": (root / "detections.jsonl").read_text().splitlines(),
+               "scores.json": whole(root / "scores.json")}
     argv = ["eval", "--config", str(root / "config.json"), "--corpus", str(root / "corpus.jsonl"),
             "--detections", str(root / "detections.jsonl"), "--scores", str(root / "scores.json"),
             "--out", str(root / "report.json")]
     assert run_cli(argv) == (0, [])  # valid before corruption
-    return CliInputs(root, records, argv, ("report.json",))
+    return CliInputs(root, records, argv, ("report.json",), {"corpus.jsonl": payload})
 
 
 @pytest.fixture(scope="module")
@@ -146,14 +154,24 @@ def run_cli(argv):
     return code, err.getvalue().splitlines()
 
 
-def corrupt(data, records: list[str], nullable=()) -> bytes:
-    """The bytes of one malformed variant of a file given as its JSON texts;
-    ``nullable`` holds the value paths where null is valid."""
-    kind = data.draw(st.sampled_from(["truncate", "flip", "swap"]), label="kind")
+def flip(data, raw: bytes) -> bytes:
+    raw = bytearray(raw)
+    raw[data.draw(st.integers(0, len(raw) - 1), label="byte")] ^= 0x80
+    return bytes(raw)
+
+
+def corrupt(data, records: list[str], nullable=(), payload=b"") -> bytes:
+    """The bytes of one malformed variant of a file given as its JSON texts and
+    the ``payload`` after them; ``nullable`` holds the value paths where null is
+    valid."""
+    kinds = ["truncate", "flip", "swap"] + (["payload_flip", "payload_cut"] if payload else [])
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "payload_flip":
+        return encode(records) + flip(data, payload)
+    if kind == "payload_cut":
+        return encode(records) + payload[:data.draw(st.integers(0, len(payload) - 1), label="cut")]
     if kind == "flip":
-        raw = bytearray(encode(records))
-        raw[data.draw(st.integers(0, len(raw) - 1), label="byte")] ^= 0x80
-        return bytes(raw)
+        return flip(data, encode(records)) + payload
     index = data.draw(st.integers(0, len(records) - 1), label="record")
     text = records[index]
     if kind == "truncate":  # keep the records before, cut this one short
@@ -172,14 +190,15 @@ def corrupt(data, records: list[str], nullable=()) -> bytes:
     holder[key] = data.draw(st.sampled_from([value for name, value in REPLACEMENTS
                                              if name not in excluded]), label="value")
     return encode(records[:index] + [json.dumps(document, separators=(",", ":"))]
-                  + records[index + 1:])
+                  + records[index + 1:]) + payload
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_corrupted_eval_input_is_one_error_line(inputs, data):
     name = data.draw(st.sampled_from(sorted(inputs.records)), label="file")
-    inputs.assert_one_error_line(name, corrupt(data, inputs.records[name]))
+    inputs.assert_one_error_line(name, corrupt(data, inputs.records[name],
+                                               payload=inputs.payloads.get(name, b"")))
 
 
 @pytest.mark.parametrize("name, nullable", [("config.json", {("seed",), ("lstm", "gradient_clip")}),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from laf.errors import ConfigError, CorpusFormatError
-from laf.ioutil import decode_f64, encode_f64, json_fields, json_floats, json_value
+from laf.ioutil import (atomic_write_bytes, decode_f64, encode_f64, json_fields, json_floats,
+                        json_value)
 
 
 @pytest.mark.parametrize("value, kind, expected", [
@@ -52,3 +53,12 @@ def test_decode_f64_checks_the_shape():
     for shape in ((3, 3), (6, 1, 2), (-2, -3)):
         with pytest.raises(CorpusFormatError, match=r"^p: 6 values, expected shape"):
             decode_f64(text, "p", shape)
+
+
+def test_atomic_write_bytes_writes_the_chunks_in_order_or_nothing(tmp_path):
+    values = np.array([1.5, -0.0, 5e-324])
+    atomic_write_bytes(tmp_path / "out.bin", b"text\n", values)
+    assert (tmp_path / "out.bin").read_bytes() == b"text\n" + values.astype("<f8").tobytes()
+    with pytest.raises(TypeError):
+        atomic_write_bytes(tmp_path / "bad.bin", b"text\n", "not bytes")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
