@@ -23,6 +23,8 @@ def main():
     parser.add_argument("--seeds", type=int, default=5, help="number of seeded trials")
     parser.add_argument("--ratio", type=float, default=0.5, help="temporal overlap ratio")
     args = parser.parse_args()
+    if not 0.0 < args.ratio <= 1.0:
+        parser.error(f"--ratio must lie in (0, 1], got {args.ratio:g}")
 
     modes = ("laf", "uniform", "random30")
     print(f"mAP@{args.ratio:g} per seed")

@@ -14,7 +14,7 @@ from .config import RunConfig, load_run_config
 from .corpus import Corpus, Interval, VideoSequence, WebImage, load_corpus, save_corpus
 from .errors import (ConfigError, CorpusFormatError, LafError, TransferCollapseError,
                      ValidationError)
-from .evaluation import EvalConfig, average_precision, evaluate, hit_at_k, mean_ap
+from .evaluation import EvalConfig, average_precision, evaluate, hit_at_k
 from .localization import (Detection, LocalizationConfig, classify_video, localize,
                            sliding_window_scores, temporal_iou, temporal_nms)
 from .lstm import (LstmModel, LstmState, LstmTrainConfig, load_lstm, lstm_backward,

@@ -32,6 +32,8 @@ class ClassifierTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if not self.learning_rate > 0:  # NaN fails too
             raise ValidationError("learning_rate must be positive")
         if self.epochs < 0:

@@ -55,6 +55,8 @@ class RunConfig:
     paths: PipelinePaths = field(default_factory=PipelinePaths)
 
     def __post_init__(self):
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.train_mode not in TRAIN_MODES:
             raise ConfigError(f"train_mode must be one of {TRAIN_MODES}, got {self.train_mode!r}")
 

@@ -4,8 +4,7 @@ A detection counts as a true positive at ratio r when its interval IoU with
 some still-unmatched ground-truth segment of the same video strictly exceeds
 r; each segment can be matched once, and duplicates count as false
 positives. AP is the raw (non-interpolated) sum of precisions at true-positive
-ranks divided by the number of ground-truth segments; an interpolated variant
-is available behind a config flag.
+ranks divided by the number of ground-truth segments.
 """
 
 from __future__ import annotations
@@ -17,14 +16,13 @@ import numpy as np
 
 from .corpus import Interval, VideoSequence
 from .errors import ValidationError
-from .localization import Detection, temporal_iou
+from .localization import Detection, detection_rank, temporal_iou
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     hit_ks: tuple[int, ...] = (1, 5)
     overlap_ratios: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5)
-    interpolated_ap: bool = False
 
     def __post_init__(self):
         if not self.hit_ks or any(k < 1 for k in self.hit_ks):
@@ -50,20 +48,15 @@ def hit_at_k(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
     return float(np.mean(np.any(top == labels[:, None], axis=1)))
 
 
-def _ranked(detections: Sequence[Detection]) -> list[Detection]:
-    return sorted(detections, key=lambda d: (-d.score, d.video_id, d.interval.start))
-
-
 def average_precision(detections: Sequence[Detection],
-                      ground_truth: Mapping[str, Sequence[Interval]], ratio: float,
-                      interpolated: bool = False) -> float:
+                      ground_truth: Mapping[str, Sequence[Interval]], ratio: float) -> float:
     """AP for one label; ground truth maps video id -> its true segments."""
     total_gt = sum(len(segs) for segs in ground_truth.values())
     if total_gt == 0:
         raise ValidationError("undefined AP: no ground-truth segments for this label")
     matched = {vid: np.zeros(len(segs), dtype=bool) for vid, segs in ground_truth.items()}
     is_tp = np.zeros(len(detections), dtype=bool)
-    for rank, det in enumerate(_ranked(detections)):
+    for rank, det in enumerate(sorted(detections, key=detection_rank)):
         segments = ground_truth.get(det.video_id, ())
         best_index, best_iou = -1, ratio
         for index, segment in enumerate(segments):
@@ -75,26 +68,9 @@ def average_precision(detections: Sequence[Detection],
         if best_index >= 0:
             matched[det.video_id][best_index] = True
             is_tp[rank] = True
-    if not len(detections):
-        return 0.0
     tp_cum = np.cumsum(is_tp)
     precision = tp_cum / np.arange(1, len(detections) + 1)
-    if interpolated:
-        precision = np.maximum.accumulate(precision[::-1])[::-1]
     return float(precision[is_tp].sum() / total_gt)
-
-
-def mean_ap(detections_by_label: Mapping[int, Sequence[Detection]],
-            ground_truth_by_label: Mapping[int, Mapping[str, Sequence[Interval]]],
-            ratio: float, interpolated: bool = False) -> float:
-    """Unweighted mean AP over labels that have at least one ground-truth segment."""
-    labels = [label for label, gt in ground_truth_by_label.items()
-              if sum(len(segs) for segs in gt.values()) > 0]
-    if not labels:
-        raise ValidationError("mean AP needs at least one label with ground truth")
-    aps = [average_precision(detections_by_label.get(label, ()), ground_truth_by_label[label],
-                             ratio, interpolated) for label in labels]
-    return float(np.mean(aps))
 
 
 def ground_truth_by_label(videos: Sequence[VideoSequence]) -> dict[int, dict[str, list[Interval]]]:
@@ -166,18 +142,14 @@ def evaluate(detections: Sequence[Detection], videos: Sequence[VideoSequence],
     dets = detections_by_label(detections)
     per_label: dict[str, dict[str, float]] = {str(label): {} for label in sorted(gt)}
     for ratio in config.overlap_ratios:
-        aps = {label: average_precision(dets.get(label, ()), gt[label], ratio,
-                                        config.interpolated_ap)
+        key = format(ratio, "g")
+        aps = {label: average_precision(dets.get(label, ()), gt[label], ratio)
                for label in sorted(gt)}
-        report["map_at"][_ratio_key(ratio)] = float(np.mean(list(aps.values()))) if aps else 0.0
+        report["map_at"][key] = float(np.mean(list(aps.values()))) if aps else 0.0
         for label, ap in aps.items():
-            per_label[str(label)][_ratio_key(ratio)] = ap
+            per_label[str(label)][key] = ap
     report["per_label_ap"] = per_label
     return report
-
-
-def _ratio_key(ratio: float) -> str:
-    return format(ratio, "g")
 
 
 def format_report_table(report: dict) -> str:

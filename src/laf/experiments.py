@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .config import RunConfig, apply_global_seed, load_run_config
 from .corpus import with_laf_weights
-from .evaluation import detections_by_label, ground_truth_by_label, mean_ap
+from .evaluation import EvalConfig, evaluate
 from .localization import localize_videos
 from .lstm import train_lstm
 from .pipeline import training_videos_for_mode
@@ -45,20 +45,22 @@ def weighting_trial(seed: int, modes: tuple[str, ...] = ("laf", "uniform", "rand
     """Train one detector per weighting mode on a shared corpus; report mAP.
 
     The corpus, transfer output, and model initialization are identical across
-    modes, so the step weights are the only difference.
+    modes, so the step weights are the only difference. Each mode is scored by
+    :func:`laf.evaluation.evaluate`, as ``laf eval`` scores it.
     """
+    eval_config = EvalConfig(hit_ks=(1,), overlap_ratios=(map_ratio,))  # checks the ratio first
     config = experiment_config(seed)
     corpus = generate_corpus(config.synth)
     result = run_domain_transfer(corpus, config.transfer)
     annotated = with_laf_weights(corpus, result.laf_weights)
-    gt = ground_truth_by_label(annotated.test_videos)
 
     scores: dict[str, float] = {}
     for mode in modes:
         videos = training_videos_for_mode(annotated, mode, config.lstm.seed)
         model, _ = train_lstm(videos, config.lstm, annotated.num_labels, annotated.feature_dim)
-        detections, _ = localize_videos(model, annotated.test_videos, config.localization)
-        scores[mode] = mean_ap(detections_by_label(detections), gt, map_ratio)
+        detections, fused = localize_videos(model, annotated.test_videos, config.localization)
+        report = evaluate(detections, annotated.test_videos, eval_config, annotated.num_labels, fused)
+        (scores[mode],) = report["map_at"].values()
     return scores
 
 

@@ -121,9 +121,12 @@ def atomic_write_bytes(path: str | Path, *chunks) -> None:
     """Write the bytes-like ``chunks`` to a temp file in the target directory,
     then rename it; no partially-written output file is left behind on error."""
     path = Path(path)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates 0600; open(path, "w") gives this
             handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:

@@ -28,15 +28,12 @@ class LocalizationConfig:
     window_len: int = 10
     window_stride: int = 1
     nms_overlap: float = 0.5
-    max_detections_per_label: int | None = None
 
     def __post_init__(self):
         if self.window_len < 1 or self.window_stride < 1:
             raise ValidationError("window_len and window_stride must be positive")
         if not (0.0 <= self.nms_overlap < 1.0):
             raise ValidationError("nms_overlap must lie in [0, 1)")
-        if self.max_detections_per_label is not None and self.max_detections_per_label < 1:
-            raise ValidationError("max_detections_per_label must be positive or None")
 
 
 @dataclass(frozen=True)
@@ -121,7 +118,7 @@ def localize(video_id: str, step_probs: np.ndarray,
     for label in range(means.shape[1]):
         candidates = [Detection(video_id, label, interval, score)
                       for interval, score in zip(intervals, means[:, label].tolist())]
-        result[label] = temporal_nms(candidates, config.nms_overlap)[:config.max_detections_per_label]
+        result[label] = temporal_nms(candidates, config.nms_overlap)
     return result
 
 
@@ -139,16 +136,17 @@ def localize_videos(model: LstmModel, videos: Sequence[VideoSequence], config: L
     return detections, fused
 
 
-def detection_lines(detections: Iterable[Detection]) -> list[str]:
-    ordered = sorted(detections, key=lambda d: (d.label, -d.score, d.video_id, d.interval.start))
-    return [json.dumps({"video_id": d.video_id, "label": d.label, "start": d.interval.start,
-                        "end": d.interval.end, "score": d.score}, separators=(",", ":"))
-            for d in ordered]
+def detection_rank(d: Detection) -> tuple:
+    """The one detection order: by label, then descending score, video id and start."""
+    return d.label, -d.score, d.video_id, d.interval.start
 
 
 def save_detections(detections: Iterable[Detection], path: str | Path) -> None:
-    """JSON Lines, sorted by (label, descending score)."""
-    atomic_write_text(path, "\n".join(detection_lines(detections)) + "\n")
+    """JSON Lines in :func:`detection_rank` order."""
+    lines = [json.dumps({"video_id": d.video_id, "label": d.label, "start": d.interval.start,
+                         "end": d.interval.end, "score": d.score}, separators=(",", ":"))
+             for d in sorted(detections, key=detection_rank)]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 DETECTION_KINDS = {"video_id": str, "label": int, "start": int, "end": int, "score": float}

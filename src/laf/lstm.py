@@ -93,10 +93,6 @@ class LstmModel:
                 raise ValidationError(f"parameter {name} contains non-finite values")
             setattr(self, name, arr)
 
-    def copy(self) -> "LstmModel":
-        kwargs = {name: getattr(self, name).copy() for name in PARAM_FIELDS}
-        return LstmModel(self.input_dim, self.num_cells, self.proj_dim, self.num_labels, **kwargs)
-
 
 @dataclass(frozen=True, eq=False)
 class LstmState:
@@ -284,6 +280,8 @@ class LstmTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if min(self.num_cells, self.proj_dim, self.unroll_k, self.batch_size) < 1:
             raise ValidationError("num_cells, proj_dim, unroll_k, batch_size must be positive")
         if not self.learning_rate > 0 or not (0.0 < self.lr_decay <= 1.0):  # NaN fails too

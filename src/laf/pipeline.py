@@ -21,7 +21,7 @@ from .ioutil import atomic_write_json, json_floats, read_json_object
 from .localization import load_detections, localize_videos, save_detections
 from .lstm import load_lstm, save_lstm, train_lstm
 from .synth import corpus_stats, generate_corpus, mode_centers
-from .transfer import run_domain_transfer, transfer_log_json
+from .transfer import run_domain_transfer
 
 
 def stage_synth(config: RunConfig, out_corpus: str | Path,
@@ -42,7 +42,7 @@ def stage_transfer(config: RunConfig, corpus_path: str | Path, out_corpus: str |
     annotated = with_laf_weights(corpus, result.laf_weights)
     save_corpus(annotated, out_corpus)
     save_classifier(result.proposal_model, out_model)
-    log = transfer_log_json(result.log)
+    log = [entry.to_json() for entry in result.log]
     atomic_write_json(out_log, log)
     return log
 
@@ -131,7 +131,3 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, mode: str | None = None
                    out / paths.detections, out / paths.video_scores)
     return stage_eval(config, out / paths.detections, out / paths.annotated_corpus,
                       out / paths.report, out / paths.video_scores)
-
-
-__all__ = ["training_videos_for_mode", "stage_synth", "stage_transfer", "stage_train",
-           "stage_localize", "stage_eval", "run_pipeline"]

@@ -43,6 +43,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if self.num_activities < 1 or self.actions_per_activity < 1:
             raise ValidationError("need at least one activity and one action per activity")
         if self.feature_dim < 1:

@@ -36,6 +36,8 @@ class TransferConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if not (0.0 <= self.theta1 <= 1.0 and 0.0 <= self.theta2 <= 1.0):
             raise ValidationError("thresholds must lie in [0, 1]")
         if self.max_iterations < 1:
@@ -76,10 +78,6 @@ class LafResult:
     laf_weights: dict[str, np.ndarray]
     log: list[TransferIterationLog]
     image_pool: tuple[WebImage, ...]  # images the proposal model was trained on
-
-    @property
-    def validation_history(self) -> list[float]:
-        return [entry.validation_accuracy for entry in self.log]
 
 
 def initialize_frame_set(train_videos: Sequence[VideoSequence], frames_per_video: int,
@@ -215,7 +213,3 @@ def run_domain_transfer(corpus: Corpus, config: TransferConfig) -> LafResult:
     weights = {video.id: laf_scores_for_video(best_model, video) for video in videos}
     return LafResult(proposal_model=best_model, laf_weights=weights, log=log,
                      image_pool=tuple(corpus.images[i] for i in best_images))
-
-
-def transfer_log_json(log: Sequence[TransferIterationLog]) -> list[dict]:
-    return [entry.to_json() for entry in log]

@@ -12,9 +12,11 @@ import laf
 from laf import localization, lstm, pipeline
 from laf.cli import main
 from laf.corpus import Interval, load_corpus, save_corpus
+from laf.errors import ValidationError
 from laf.localization import load_detections, save_detections, Detection
 from laf.lstm import PARAM_FIELDS, load_lstm, train_lstm
 from laf.config import run_config_from_dict
+from laf.experiments import DESK_CONFIG, weighting_trial
 from laf.pipeline import training_videos_for_mode
 
 from conftest import edit_corpus_lines
@@ -297,6 +299,10 @@ CONFIG_EDITS = {  # one config value each that is not a finite JSON number
     "config_classifier_learning_rate_nan": ("classifier", "learning_rate", float("nan")),
     "config_synth_mode_separation_infinite": ("synth", "mode_separation", float("inf")),
 }
+SEED_CONFIGS = {  # configs that each set a negative seed
+    "config_seed_negative": {"seed": -3},
+    "config_synth_seed_negative": {"synth": {"seed": -3}},
+}
 DETECTION_LINES = {  # one detection record each, with a field of the wrong JSON type
     "detection_fields_are_floats": {"label": 0.9, "start": 0.2, "end": 1.7},
     "detection_label_is_true": {"label": True, "start": 0, "end": 2},
@@ -342,6 +348,11 @@ def malformed_call(case, config_path, tmp_path):
     if case == "config_not_utf8":
         bad.write_bytes(b"\xff\xfe{}")
         return ["synth", "--config", str(bad), "--out", str(tmp_path / "c.jsonl")]
+    if case in SEED_CONFIGS:
+        bad.write_text(json.dumps(SEED_CONFIGS[case]))
+        return ["synth", "--config", str(bad), "--out", str(tmp_path / "c.jsonl")]
+    if case == "seed_flag_negative":
+        return ["synth", "--config", config_path, "--seed", "-1", "--out", str(tmp_path / "c.jsonl")]
     if case == "detections_not_utf8":
         detections.write_bytes(b'{"video_id":"\xff"}\n')
     elif case in DETECTION_LINES:
@@ -377,7 +388,8 @@ def assert_one_error_line(argv):
 
 
 @pytest.mark.parametrize("case", ["checkpoint_is_a_list", "checkpoint_dims_not_integers",
-                                  "config_not_utf8", *CONFIG_EDITS, "scores_are_a_list",
+                                  "config_not_utf8", *CONFIG_EDITS, "seed_flag_negative",
+                                  *SEED_CONFIGS, "scores_are_a_list",
                                   "scores_not_numbers", "scores_of_unequal_length",
                                   "scores_not_finite", "detection_label_out_of_range",
                                   "detection_past_video_end", "detections_not_utf8",
@@ -390,6 +402,12 @@ def test_malformed_input_is_one_error_line(case, config_path, tmp_path):
         assert "{}.{}: must be a finite JSON number".format(*CONFIG_EDITS[case]) in line, line
     if case == "checkpoint_dims_not_integers":
         assert "dims: 'outputs': must be a JSON integer" in line, line
+    if case == "seed_flag_negative":
+        assert "seed must be nonnegative, got -1" in line, line
+    if case in SEED_CONFIGS:
+        assert "seed must be nonnegative, got -3" in line, line
+    if case == "config_synth_seed_negative":
+        assert line.startswith("error: synth: seed"), line
 
 
 def test_localize_runs_the_model_once_per_test_video(config_path, tmp_path, monkeypatch):
@@ -461,3 +479,16 @@ def test_seed_flag_changes_outputs(config_path, tmp_path):
     assert run_cli("synth", "--config", config_path, "--out", str(a), "--seed", "1") == 0
     assert run_cli("synth", "--config", config_path, "--out", str(b), "--seed", "2") == 0
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_pipeline_and_weighting_trial_compute_one_map(tmp_path):
+    assert run_cli("pipeline", "--config", str(DESK_CONFIG), "--seed", "0",
+                   "--out-dir", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["map_at"]["0.5"] == weighting_trial(0, modes=("laf",))["laf"]
+
+
+def test_weighting_trial_checks_the_ratio_before_any_work(monkeypatch):
+    monkeypatch.setattr("laf.experiments.generate_corpus", None)  # fails if it is reached
+    with pytest.raises(ValidationError, match="overlap ratios"):
+        weighting_trial(0, map_ratio=0.0)

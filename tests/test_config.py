@@ -26,7 +26,7 @@ def test_nested_overrides():
         "transfer": {"theta1": 0.25, "max_iterations": 2},
         "lstm": {"num_cells": 1024, "gradient_clip": None},
         "localization": {"window_stride": 3},
-        "eval": {"overlap_ratios": [0.4], "interpolated_ap": True},
+        "eval": {"overlap_ratios": [0.4], "hit_ks": [1, 3]},
         "train_mode": "uniform",
     })
     assert config.synth.feature_dim == 4
@@ -38,7 +38,7 @@ def test_nested_overrides():
     assert config.lstm.gradient_clip is None
     assert config.localization.window_stride == 3
     assert config.eval.overlap_ratios == (0.4,)
-    assert config.eval.interpolated_ap is True
+    assert config.eval.hit_ks == (1, 3)
     assert config.train_mode == "uniform"
 
 
@@ -56,8 +56,6 @@ def test_type_errors_are_named():
         run_config_from_dict({"transfer": {"theta1": "high"}})
     with pytest.raises(ConfigError, match="lstm.epochs"):
         run_config_from_dict({"lstm": {"epochs": 2.5}})
-    with pytest.raises(ConfigError, match="eval.interpolated_ap"):
-        run_config_from_dict({"eval": {"interpolated_ap": "yes"}})
 
 
 @pytest.mark.parametrize("block, key, value", [
@@ -100,6 +98,20 @@ def test_global_seed_overrides_every_stage():
     assert config.lstm.seed == 42
     reseeded = apply_global_seed(config, 7)
     assert reseeded.synth.seed == 7 and reseeded.lstm.seed == 7
+
+
+@pytest.mark.parametrize("data, where", [
+    ({"seed": -3}, "RunConfig: seed"), ({"synth": {"seed": -3}}, "synth: seed"),
+    ({"classifier": {"seed": -3}}, "classifier: seed"),
+    ({"transfer": {"seed": -3}}, "transfer: seed"), ({"lstm": {"seed": -3}}, "lstm: seed")])
+def test_negative_seeds_are_rejected_where_they_live(data, where):
+    with pytest.raises(ConfigError, match=f"^{where} must be nonnegative, got -3$"):
+        run_config_from_dict(data)
+
+
+def test_negative_global_seed_override_is_rejected():
+    with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
+        apply_global_seed(RunConfig(), -1)
 
 
 def test_bad_train_mode_rejected():

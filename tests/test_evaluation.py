@@ -6,7 +6,7 @@ import pytest
 from laf.corpus import Interval
 from laf.errors import ValidationError
 from laf.evaluation import (EvalConfig, average_precision, detections_by_label, evaluate,
-                            ground_truth_by_label, hit_at_k, max_pooled_scores, mean_ap)
+                            ground_truth_by_label, hit_at_k, max_pooled_scores)
 from laf.localization import Detection
 
 from conftest import make_video
@@ -152,35 +152,34 @@ def test_ap_is_one_exactly_when_all_segments_match_before_any_fp():
     assert average_precision([det(0, 10, 0.9)], gt, 0.5) < 1.0
 
 
-def test_interpolated_ap_never_below_raw(rng):
-    gt = {"v": [Interval(0, 8), Interval(12, 20)]}
-    detections = [det(int(s), int(s) + 6, float(score))
-                  for s, score in zip(rng.integers(0, 14, 8), rng.random(8))]
-    raw = average_precision(detections, gt, 0.3, interpolated=False)
-    interp = average_precision(detections, gt, 0.3, interpolated=True)
-    assert interp >= raw
-
-
 # --- mean AP ----------------------------------------------------------------
 
-def test_mean_ap_single_label_equals_its_ap():
-    gt = {0: {"v": [Interval(0, 10)]}}
-    detections = {0: [det(0, 10, 1.0)]}
-    assert mean_ap(detections, gt, 0.5) == 1.0
+def map_at_half(detections, videos, num_labels=2):
+    return evaluate(detections, videos, EvalConfig(hit_ks=(1,), overlap_ratios=(0.5,)),
+                    num_labels)["map_at"]["0.5"]
 
 
-def test_mean_ap_averages_labels():
-    gt = {0: {"v": [Interval(0, 10)]}, 1: {"v": [Interval(20, 30)]}}
-    detections = {0: [det(0, 10, 1.0, label=0)], 1: []}
-    assert mean_ap(detections, gt, 0.5) == 0.5
+def test_map_of_a_single_label_equals_its_ap():
+    videos = [make_video(0, 0, np.zeros((30, 2)), split="test", gt=[(0, 10)])]
+    detections = [det(0, 10, 0.9, video=videos[0].id), det(20, 30, 0.8, video=videos[0].id)]
+    assert map_at_half(detections, videos) == 1.0
+    detections = [det(20, 30, 0.9, video=videos[0].id), det(1, 11, 0.5, video=videos[0].id)]
+    assert map_at_half(detections, videos) == average_precision(
+        detections, ground_truth_by_label(videos)[0], 0.5) == 0.5
 
 
-def test_mean_ap_excludes_labels_without_ground_truth():
-    gt = {0: {"v": [Interval(0, 10)]}, 1: {}}
-    detections = {0: [det(0, 10, 1.0)], 1: [det(0, 5, 1.0, label=1)]}
-    assert mean_ap(detections, gt, 0.5) == 1.0
-    with pytest.raises(ValidationError):
-        mean_ap({}, {0: {}}, 0.5)
+def test_map_averages_labels():
+    videos = [make_video(0, 0, np.zeros((30, 2)), split="test", gt=[(0, 10)]),
+              make_video(1, 1, np.zeros((30, 2)), split="test", gt=[(20, 30)])]
+    assert map_at_half([det(0, 10, 1.0, label=0, video=videos[0].id)], videos) == 0.5
+
+
+def test_map_excludes_labels_without_ground_truth():
+    videos = [make_video(0, 0, np.zeros((30, 2)), split="test", gt=[(0, 10)]),
+              make_video(1, 1, np.zeros((30, 2)), split="test")]
+    detections = [det(0, 10, 1.0, label=0, video=videos[0].id),
+                  det(0, 5, 1.0, label=1, video=videos[1].id)]
+    assert map_at_half(detections, videos) == 1.0
 
 
 # --- report assembly --------------------------------------------------------

@@ -278,14 +278,6 @@ def test_localize_rejects_dim_mismatch():
         localize_videos(model, [bad], LocalizationConfig())
 
 
-def test_max_detections_cut():
-    corpus, model = trained_localizer()
-    video = corpus.test_videos[0]
-    config = LocalizationConfig(nms_overlap=0.9, max_detections_per_label=2)
-    result = localize_video(model, video, config)
-    assert all(len(dets) <= 2 for dets in result.values())
-
-
 # --- detections file --------------------------------------------------------
 
 def test_detection_with_numpy_integer_bounds_saves_and_loads_equal(tmp_path):
