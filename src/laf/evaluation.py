@@ -16,7 +16,8 @@ import numpy as np
 
 from .corpus import Interval, VideoSequence
 from .errors import ValidationError
-from .localization import Detection, detection_rank, temporal_iou
+from .localization import (Detection, DetectionTable, detection_rank, temporal_iou,
+                           video_positions)
 
 
 @dataclass(frozen=True)
@@ -48,28 +49,32 @@ def hit_at_k(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
     return float(np.mean(np.any(top == labels[:, None], axis=1)))
 
 
-def average_precision(detections: Sequence[Detection],
+def average_precision(detections: DetectionTable | Sequence[Detection],
                       ground_truth: Mapping[str, Sequence[Interval]], ratio: float) -> float:
-    """AP for one label; ground truth maps video id -> its true segments."""
+    """AP for one label; ground truth maps video id -> its true segments.
+
+    Detections go in :func:`detection_rank` order. In each video with ground
+    truth, one IoU array against its segments gives every detection its best
+    still-unmatched segment (the first one on ties).
+    """
     total_gt = sum(len(segs) for segs in ground_truth.values())
     if total_gt == 0:
         raise ValidationError("undefined AP: no ground-truth segments for this label")
-    matched = {vid: np.zeros(len(segs), dtype=bool) for vid, segs in ground_truth.items()}
-    is_tp = np.zeros(len(detections), dtype=bool)
-    for rank, det in enumerate(sorted(detections, key=detection_rank)):
-        segments = ground_truth.get(det.video_id, ())
-        best_index, best_iou = -1, ratio
-        for index, segment in enumerate(segments):
-            if matched[det.video_id][index]:
-                continue
-            iou = temporal_iou(det.interval, segment)
-            if iou > best_iou:
-                best_index, best_iou = index, iou
-        if best_index >= 0:
-            matched[det.video_id][best_index] = True
-            is_tp[rank] = True
+    table = DetectionTable.of(detections)
+    table = table.take(detection_rank(table))
+    is_tp = np.zeros(len(table), dtype=bool)
+    for video_id, segments in ground_truth.items():
+        rows = np.flatnonzero(table.video_id == video_id)
+        bounds = np.array([(seg.start, seg.end) for seg in segments], dtype=np.int64).reshape(-1, 2)
+        iou = temporal_iou(table.start[rows, None], table.end[rows, None], *bounds.T)
+        matched = np.zeros(len(segments), dtype=bool)
+        for k in np.flatnonzero((iou > ratio).any(axis=1)):
+            free = np.where(matched, -1.0, iou[k])
+            best = free.argmax()
+            if free[best] > ratio:
+                matched[best] = is_tp[rows[k]] = True
     tp_cum = np.cumsum(is_tp)
-    precision = tp_cum / np.arange(1, len(detections) + 1)
+    precision = tp_cum / np.arange(1, len(table) + 1)
     return float(precision[is_tp].sum() / total_gt)
 
 
@@ -82,14 +87,7 @@ def ground_truth_by_label(videos: Sequence[VideoSequence]) -> dict[int, dict[str
     return grouped
 
 
-def detections_by_label(detections: Sequence[Detection]) -> dict[int, list[Detection]]:
-    grouped: dict[int, list[Detection]] = {}
-    for det in detections:
-        grouped.setdefault(det.label, []).append(det)
-    return grouped
-
-
-def max_pooled_scores(detections: Sequence[Detection], videos: Sequence[VideoSequence],
+def max_pooled_scores(detections: DetectionTable, videos: Sequence[VideoSequence],
                       num_labels: int) -> np.ndarray:
     """Fallback video-level scores: the best detection score per (video, label).
 
@@ -98,28 +96,30 @@ def max_pooled_scores(detections: Sequence[Detection], videos: Sequence[VideoSeq
     """
     index = {video.id: row for row, video in enumerate(videos)}
     scores = np.zeros((len(videos), num_labels))
-    for det in detections:
-        row = index[det.video_id]
-        scores[row, det.label] = max(scores[row, det.label], det.score)
+    rows = np.array([index[vid] for vid in detections.video_id.tolist()], dtype=np.intp)
+    np.maximum.at(scores, (rows, detections.label), detections.score)
     return scores
 
 
-def evaluate(detections: Sequence[Detection], videos: Sequence[VideoSequence],
+def evaluate(detections: DetectionTable | Sequence[Detection], videos: Sequence[VideoSequence],
              config: EvalConfig, num_labels: int,
              video_scores: Mapping[str, np.ndarray] | None = None) -> dict:
     """Full report: Hit@k over videos plus mAP and per-label AP at each ratio."""
     if not videos:
         raise ValidationError("evaluation needs a nonempty video set")
+    table = DetectionTable.of(detections)
     steps = {video.id: video.num_steps for video in videos}
-    for det in detections:
+    ids, video = video_positions(table)
+    limit = np.array([steps.get(vid, -1) for vid in ids], dtype=np.int64)[video]
+    bad = (limit < 0) | (table.label < 0) | (table.label >= num_labels) | (table.end > limit)
+    for det in table.take(bad):  # the first bad detection raises
         if det.video_id not in steps:
             raise ValidationError(f"detection references unknown video id {det.video_id!r}")
         if not 0 <= det.label < num_labels:
             raise ValidationError(f"detection label {det.label} on {det.video_id!r} "
                                   f"outside [0, {num_labels})")
-        if det.interval.end > steps[det.video_id]:
-            raise ValidationError(f"detection [{det.interval.start}, {det.interval.end}) exceeds "
-                                  f"the {steps[det.video_id]} steps of {det.video_id!r}")
+        raise ValidationError(f"detection [{det.interval.start}, {det.interval.end}) exceeds "
+                              f"the {steps[det.video_id]} steps of {det.video_id!r}")
 
     if video_scores is not None:
         missing = [v.id for v in videos if v.id not in video_scores]
@@ -131,7 +131,7 @@ def evaluate(detections: Sequence[Detection], videos: Sequence[VideoSequence],
                                   f"({len(videos)}, {num_labels}) matrix")
         scores = np.stack(rows)
     else:
-        scores = max_pooled_scores(detections, videos, num_labels)
+        scores = max_pooled_scores(table, videos, num_labels)
     labels = np.asarray([video.label for video in videos])
 
     report: dict = {"hit_at": {}, "map_at": {}, "per_label_ap": {}}
@@ -139,12 +139,11 @@ def evaluate(detections: Sequence[Detection], videos: Sequence[VideoSequence],
         report["hit_at"][str(k)] = hit_at_k(scores, labels, k)
 
     gt = ground_truth_by_label(videos)
-    dets = detections_by_label(detections)
+    by_label = {label: table.take(table.label == label) for label in sorted(gt)}
     per_label: dict[str, dict[str, float]] = {str(label): {} for label in sorted(gt)}
     for ratio in config.overlap_ratios:
         key = format(ratio, "g")
-        aps = {label: average_precision(dets.get(label, ()), gt[label], ratio)
-               for label in sorted(gt)}
+        aps = {label: average_precision(dets, gt[label], ratio) for label, dets in by_label.items()}
         report["map_at"][key] = float(np.mean(list(aps.values()))) if aps else 0.0
         for label, ap in aps.items():
             per_label[str(label)][key] = ap

@@ -2,8 +2,9 @@
 
 Per-step softmax activations are averaged over the whole video for
 classification, and over fixed-length sliding windows for localization; the
-windows of each label then go through greedy temporal non-maximum
-suppression.
+windows of every label of a video then go through greedy temporal
+non-maximum suppression together. Detections travel as the columns of one
+:class:`DetectionTable` from localization to the file and to evaluation.
 """
 
 from __future__ import annotations
@@ -50,6 +51,66 @@ class Detection:
             raise ValidationError(f"detection score must be finite, got {self.score!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class DetectionTable:
+    """Detections as columns: row i scores ``score[i]`` for window [start[i], end[i]) of
+    ``label[i]`` in video ``video_id[i]`` (an object array of str)."""
+
+    video_id: np.ndarray
+    label: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    score: np.ndarray
+
+    @classmethod
+    def of(cls, detections: DetectionTable | Iterable[Detection]) -> DetectionTable:
+        """The rows of ``detections`` in their order; a table is returned as it is."""
+        if isinstance(detections, DetectionTable):
+            return detections
+        rows = [(d.video_id, d.label, d.interval.start, d.interval.end, d.score) for d in detections]
+        return cls.from_columns(*(zip(*rows) if rows else ((),) * 5))
+
+    @classmethod
+    def from_columns(cls, ids, labels, starts, ends, scores) -> DetectionTable:
+        """A table of the five column sequences, cast to the column dtypes."""
+        try:
+            return cls(np.array(ids, dtype=object), *(np.array(c, dtype=np.int64)
+                                                      for c in (labels, starts, ends)),
+                       np.array(scores, dtype=np.float64))
+        except OverflowError as exc:
+            raise ValidationError(f"detection labels and bounds must fit in 64 bits ({exc})") from exc
+
+    @classmethod
+    def concat(cls, tables: Sequence[DetectionTable]) -> DetectionTable:
+        columns = zip(*(vars(table).values() for table in tables))
+        return cls(*map(np.concatenate, columns)) if tables else cls.of(())
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __iter__(self):
+        """The rows as :class:`Detection` objects, for callers off the hot path."""
+        for vid, label, start, end, score in zip(*(c.tolist() for c in vars(self).values())):
+            yield Detection(vid, label, Interval(start, end), score)
+
+    def take(self, rows) -> DetectionTable:
+        return DetectionTable(*(column[rows] for column in vars(self).values()))
+
+
+@dataclass(frozen=True)
+class WindowScores:
+    """One video's candidate windows [start, end) with their (W, N) label ``scores``;
+    its length is the W * N candidates."""
+
+    video_id: str
+    start: np.ndarray
+    end: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return self.scores.size
+
+
 def classify_video(step_probs: np.ndarray) -> np.ndarray:
     """Average fusion: the mean of per-step probability vectors."""
     step_probs = np.asarray(step_probs, dtype=np.float64)
@@ -75,84 +136,171 @@ def sliding_window_scores(step_probs: np.ndarray, window_len: int, window_stride
     return starts, starts + length, means
 
 
-def temporal_iou(a: Interval, b: Interval) -> float:
-    """Intersection over union of two half-open step intervals."""
-    inter = max(0, min(a.end, b.end) - max(a.start, b.start))
-    union = a.length + b.length - inter
-    return inter / union
+def temporal_iou(start_a, end_a, start_b, end_b):
+    """Intersection over union of half-open step intervals, elementwise with broadcasting."""
+    inter = np.maximum(np.minimum(end_a, end_b) - np.maximum(start_a, start_b), 0)
+    return inter / ((end_a - start_a) + (end_b - start_b) - inter)
 
 
-def temporal_nms(detections: Sequence[Detection], nms_overlap: float) -> list[Detection]:
-    """Greedy suppression within one label.
+def _greedy_order(starts: np.ndarray, ends: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """(W, N) window indices of each label in the NMS tie rule's order."""
+    by_start = np.lexsort((starts - ends, starts))
+    return by_start[np.argsort(-scores[by_start], axis=0, kind="stable")]
 
-    Repeatedly keep the best remaining detection (ties: earlier start, then
-    longer window, then input order) and drop everything overlapping it by
-    more than ``nms_overlap``; the result is ordered by descending score. Each
-    kept window clears the later ones with one array row, in O(len) memory.
+
+def _neighbours(starts: np.ndarray, ends: np.ndarray, overlap: float) -> np.ndarray:
+    """A (W, 2B) table whose row i lists the windows with IoU above ``overlap`` with
+    window i, padded with W.
+
+    In start order a window can overlap only the B windows on either side,
+    where ``searchsorted`` finds B; memory is O(W * B) = O(W * L / stride),
+    never W x W.
     """
-    labels = {d.label for d in detections}
+    by_start = np.argsort(starts, kind="stable")
+    s, e = starts[by_start], ends[by_start]
+    band = int((np.searchsorted(s, e) - np.arange(len(s))).max(initial=1)) - 1
+    table = np.full((len(s), 2 * band), len(s))
+    for d in range(1, band + 1):
+        near = temporal_iou(s[:-d], e[:-d], s[d:], e[d:]) > overlap
+        earlier, later = by_start[:-d][near], by_start[d:][near]
+        table[earlier, d - 1], table[later, band + d - 1] = later, earlier
+    return table
+
+
+def nms_mask(starts: np.ndarray, ends: np.ndarray, scores: np.ndarray,
+             overlap: float) -> np.ndarray:
+    """Greedy NMS of every label of one video at once: the (W, N) kept mask.
+
+    Each label keeps its best remaining window and drops the windows whose IoU
+    with it exceeds ``overlap``. The tie rule ranks a higher score first, then
+    the earlier start, then the longer window, then input order. Rank position
+    p is taken for all labels together: a window still alive at its rank is
+    kept and clears its neighbours in that label. IoU is symmetric, so the
+    neighbours of an alive window are dead or ranked later, and the result is
+    the per-label greedy one.
+    """
+    neighbours = _neighbours(starts, ends, overlap)
+    alive = np.ones((scores.shape[0] + 1, scores.shape[1]), dtype=bool)  # row W: padding
+    kept = np.zeros(scores.shape, dtype=bool)
+    columns = np.arange(scores.shape[1])
+    for windows in _greedy_order(starts, ends, scores):
+        labels = np.flatnonzero(alive[windows, columns])
+        if labels.size:
+            kept[windows[labels], labels] = True
+            alive[neighbours[windows[labels]], labels[:, None]] = False
+    return kept
+
+
+def temporal_nms(candidates: WindowScores | Sequence[Detection], nms_overlap: float):
+    """Greedy suppression within each label, with the tie rule of :func:`nms_mask`.
+
+    Window scores give a :class:`DetectionTable` of the kept (window, label)
+    pairs. A list of one label's detections gives the kept ones, by descending
+    score with the same tie rule.
+    """
+    if isinstance(candidates, WindowScores):
+        windows, labels = np.nonzero(nms_mask(candidates.start, candidates.end,
+                                              candidates.scores, nms_overlap))
+        return DetectionTable(np.full(len(windows), candidates.video_id, dtype=object), labels,
+                              candidates.start[windows], candidates.end[windows],
+                              candidates.scores[windows, labels])
+    labels = {d.label for d in candidates}
     if len(labels) > 1:
         raise ValidationError(f"temporal_nms expects a single label, got {sorted(labels)}")
-    starts = np.array([d.interval.start for d in detections], dtype=np.int64)
-    ends = np.array([d.interval.end for d in detections], dtype=np.int64)
-    order = np.lexsort((starts - ends, starts, -np.array([d.score for d in detections])))
-    starts, ends = starts[order], ends[order]
-    lengths = ends - starts
-    alive = np.ones(len(order), dtype=bool)  # after the loop: the kept ranks
-    for rank in range(len(order)):
-        if alive[rank]:
-            later = slice(rank + 1, None)
-            inter = np.maximum(np.minimum(ends[later], ends[rank])
-                               - np.maximum(starts[later], starts[rank]), 0)
-            alive[later] &= inter / (lengths[rank] + lengths[later] - inter) <= nms_overlap
-    return [detections[index] for index in order[alive].tolist()]
+    table = DetectionTable.of(candidates)
+    scores = table.score[:, None]
+    kept = nms_mask(table.start, table.end, scores, nms_overlap)[:, 0]
+    return [candidates[i] for i in _greedy_order(table.start, table.end, scores)[:, 0] if kept[i]]
 
 
-def localize(video_id: str, step_probs: np.ndarray,
-             config: LocalizationConfig) -> dict[int, list[Detection]]:
-    """Window-scored detections per label from one video's (T, N) step probabilities,
-    after per-label NMS."""
+def localize(video_id: str, step_probs: np.ndarray, config: LocalizationConfig) -> DetectionTable:
+    """The NMS survivors of every label's windows over one video's (T, N) step probabilities."""
     starts, ends, means = sliding_window_scores(step_probs, config.window_len, config.window_stride)
-    intervals = [Interval(s, e) for s, e in zip(starts.tolist(), ends.tolist())]
-    result: dict[int, list[Detection]] = {}
-    for label in range(means.shape[1]):
-        candidates = [Detection(video_id, label, interval, score)
-                      for interval, score in zip(intervals, means[:, label].tolist())]
-        result[label] = temporal_nms(candidates, config.nms_overlap)
-    return result
+    return temporal_nms(WindowScores(video_id, starts, ends, means), config.nms_overlap)
 
 
 def localize_videos(model: LstmModel, videos: Sequence[VideoSequence], config: LocalizationConfig
-                    ) -> tuple[list[Detection], dict[str, np.ndarray]]:
+                    ) -> tuple[DetectionTable, dict[str, np.ndarray]]:
     """Detections on every video and each video's average-fusion scores, from one
     forward pass per video."""
-    detections: list[Detection] = []
-    fused: dict[str, np.ndarray] = {}
+    tables, fused = [], {}
     for video in videos:
         _, probs, _ = lstm_forward(model, video.frames)
         fused[video.id] = classify_video(probs)
-        for dets in localize(video.id, probs, config).values():
-            detections.extend(dets)
-    return detections, fused
+        tables.append(localize(video.id, probs, config))
+    return DetectionTable.concat(tables), fused
 
 
-def detection_rank(d: Detection) -> tuple:
-    """The one detection order: by label, then descending score, video id and start."""
-    return d.label, -d.score, d.video_id, d.interval.start
+def video_positions(table: DetectionTable) -> tuple[list[str], np.ndarray]:
+    """The distinct video ids in sorted order, and each row's index among them."""
+    ids = table.video_id.tolist()
+    names = sorted(set(ids))
+    index = {vid: k for k, vid in enumerate(names)}
+    return names, np.array([index[vid] for vid in ids], dtype=np.intp)
 
 
-def save_detections(detections: Iterable[Detection], path: str | Path) -> None:
-    """JSON Lines in :func:`detection_rank` order."""
-    lines = [json.dumps({"video_id": d.video_id, "label": d.label, "start": d.interval.start,
-                         "end": d.interval.end, "score": d.score}, separators=(",", ":"))
-             for d in sorted(detections, key=detection_rank)]
+def detection_rank(table: DetectionTable) -> np.ndarray:
+    """The one detection order, as row indices: by label, then descending score,
+    video id and start; stable, so full ties keep their order."""
+    return np.lexsort((table.start, video_positions(table)[1], -table.score, table.label))
+
+
+def save_detections(detections: DetectionTable | Iterable[Detection], path: str | Path) -> None:
+    """JSON Lines in :func:`detection_rank` order, each line as ``json.dumps`` with
+    compact separators writes the record, formatted from the columns."""
+    table = DetectionTable.of(detections)
+    table = table.take(detection_rank(table))
+    ids, video = video_positions(table)
+    quoted = [json.dumps(vid) for vid in ids]
+    lines = [f'{{"video_id":{quoted[v]},"label":{label},"start":{start},"end":{end},'
+             f'"score":{score!r}}}' for v, label, start, end, score
+             in zip(video.tolist(), *(c.tolist() for c in (table.label, table.start, table.end,
+                                                          table.score)))]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 DETECTION_KINDS = {"video_id": str, "label": int, "start": int, "end": int, "score": float}
 
 
-def load_detections(path: str | Path) -> list[Detection]:
+def load_detections(path: str | Path) -> DetectionTable:
+    """Read a detections file with one ``json.loads`` per 4096 nonblank lines.
+
+    Each parse is kept only where it reads every line as
+    :func:`load_detection_lines` would: each line is one ``{...}``, there are
+    as many records as lines, and each record has exactly the five fields,
+    with valid values. No JSON string holds a raw newline, so no record then
+    spans or shares a line. Any other file is read line by line, and its
+    errors name the line.
+    """
+    lines = [line for line in Path(path).read_bytes().split(b"\n") if line.strip()]
+    try:
+        return DetectionTable.concat([_parse_at_once(lines[first:first + 4096])
+                                      for first in range(0, len(lines), 4096)])
+    except (ValueError, KeyError, ValidationError):
+        return load_detection_lines(path)
+
+
+def _parse_at_once(lines: list[bytes]) -> DetectionTable:
+    """The detections of ``lines`` from one parse of them joined as a JSON array;
+    ValueError or KeyError unless each line is one record of five valid fields."""
+    if not all(line[:1] == b"{" and line.rstrip(b"\r")[-1:] == b"}" for line in lines):
+        raise ValueError("not one record per line")
+    records = json.loads((b"[" + b",\n".join(lines) + b"]").decode("utf-8"))
+    if len(records) != len(lines) or not all(type(r) is dict and len(r) == 5 for r in records):
+        raise ValueError("not one record of the five fields per line")
+    ids, labels, starts, ends, scores = ([r[key] for r in records] for key in DETECTION_KINDS)
+    if {*map(type, ids)} - {str} or {*map(type, labels + starts + ends)} - {int} \
+            or {*map(type, scores)} - {int, float}:
+        raise ValueError("a field of the wrong JSON type")
+    table = DetectionTable.from_columns(ids, labels, starts, ends, scores)
+    if not (np.isfinite(table.score).all() and (0 <= table.start).all()
+            and (table.start < table.end).all()):
+        raise ValueError("a score or interval out of range")
+    return table
+
+
+def load_detection_lines(path: str | Path) -> DetectionTable:
+    """Read a detections file one line at a time; an error names its line."""
     detections = []
     for line_no, rec in read_json_lines(path):
         try:
@@ -161,4 +309,4 @@ def load_detections(path: str | Path) -> list[Detection]:
                                         Interval(det["start"], det["end"]), det["score"]))
         except ValidationError as exc:
             raise CorpusFormatError(f"line {line_no}: {exc}") from exc
-    return detections
+    return DetectionTable.of(detections)

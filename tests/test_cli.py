@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +275,58 @@ def test_eval_unknown_video_id_fails(config_path, tmp_path, capsys):
     assert code == 1
     assert "unknown video" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+RECORD = '"video_id":"v","label":0,"start":0,"end":5,"score":1.0'
+NOT_ONE_RECORD_PER_LINE = {  # the one parse must leave each to the line parser
+    "two_records_then_one_split_record": [f"{{{RECORD}}},{{{RECORD}}}",
+                                          '{"video_id":"v","label":0,"start":0,"end":5,"score":[{}',
+                                          "{}]}"],
+    "string_across_a_line_break": ['{"video_id":"a}', '{","label":0,"start":0,"end":5,"score":1.0}'],
+    "extra_key_split_then_two_records": [f'{{{RECORD},"x":[{{}}', "{}]}",
+                                         f"{{{RECORD}}},{{{RECORD}}}"],
+    "flat_record_split_then_two_records": ['{"video_id":"v","label":0',
+                                           '"start":0,"end":5,"score":1.0}',
+                                           f"{{{RECORD}}},{{{RECORD}}}"],
+    "two_records_on_one_line": [f"{{{RECORD}}},{{{RECORD}}}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_ONE_RECORD_PER_LINE))
+def test_detections_not_one_record_per_line_fail_by_line(case, config_path, tmp_path, capsys):
+    corpus_path = synth(config_path, tmp_path)
+    det_path = tmp_path / "det.jsonl"
+    det_path.write_text("\n".join(NOT_ONE_RECORD_PER_LINE[case]) + "\n")
+    code = run_cli("eval", "--config", config_path, "--detections", str(det_path),
+                   "--corpus", str(corpus_path), "--out", str(tmp_path / "r.json"))
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: line 1: invalid JSON"), err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_repeated_localize_and_eval_keep_no_state(config_path, tmp_path):
+    annotated, checkpoint, _ = full_chain(config_path, tmp_path)
+
+    def localize_and_eval(tag):
+        det, report = tmp_path / f"{tag}.jsonl", tmp_path / f"{tag}.report.json"
+        scores = tmp_path / f"{tag}.jsonl.scores.json"
+        assert run_cli("localize", "--config", config_path, "--checkpoint", str(checkpoint),
+                       "--corpus", str(annotated), "--out", str(det)) == 0
+        assert run_cli("eval", "--config", config_path, "--detections", str(det), "--corpus",
+                       str(annotated), "--scores", str(scores), "--out", str(report)) == 0
+        gc.collect()
+        return [path.read_bytes() for path in (det, scores, report)], \
+            tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        first, after_first = localize_and_eval("first")
+        second, after_second = localize_and_eval("second")
+    finally:
+        tracemalloc.stop()
+    assert first == second
+    assert abs(after_second - after_first) < 64 * 1024
 
 
 # --- exit codes and atomicity -----------------------------------------------

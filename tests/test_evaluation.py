@@ -5,9 +5,9 @@ import pytest
 
 from laf.corpus import Interval
 from laf.errors import ValidationError
-from laf.evaluation import (EvalConfig, average_precision, detections_by_label, evaluate,
-                            ground_truth_by_label, hit_at_k, max_pooled_scores)
-from laf.localization import Detection
+from laf.evaluation import (EvalConfig, average_precision, evaluate, ground_truth_by_label,
+                            hit_at_k, max_pooled_scores)
+from laf.localization import Detection, DetectionTable
 
 from conftest import make_video
 from oracles import brute_force_average_precision
@@ -226,7 +226,7 @@ def test_max_pooled_fallback_scores():
     videos = eval_videos()
     detections = [det(0, 6, 0.4, label=0, video=videos[0].id),
                   det(2, 8, 0.7, label=0, video=videos[0].id)]
-    pooled = max_pooled_scores(detections, videos, 2)
+    pooled = max_pooled_scores(DetectionTable.of(detections), videos, 2)
     np.testing.assert_allclose(pooled, [[0.7, 0.0], [0.0, 0.0]])
 
 
@@ -234,8 +234,6 @@ def test_grouping_helpers():
     videos = eval_videos()
     gt = ground_truth_by_label(videos)
     assert set(gt) == {0, 1} and gt[0][videos[0].id] == [Interval(0, 6)]
-    grouped = detections_by_label([det(0, 5, 0.5, label=1), det(0, 5, 0.2, label=1)])
-    assert set(grouped) == {1} and len(grouped[1]) == 2
 
 
 def test_config_validation():

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from laf.corpus import Interval
 from laf.errors import ValidationError
-from laf.localization import (Detection, LocalizationConfig, classify_video, load_detections,
-                              localize, localize_videos, save_detections,
-                              sliding_window_scores, temporal_iou, temporal_nms)
+from laf.localization import (Detection, DetectionTable, LocalizationConfig, classify_video,
+                              detection_rank, load_detection_lines, load_detections, localize,
+                              localize_videos, save_detections, sliding_window_scores,
+                              temporal_iou, temporal_nms)
 from laf.lstm import LstmTrainConfig, lstm_forward, train_lstm
 from laf.synth import SynthSpec, generate_corpus
 
@@ -20,6 +21,15 @@ from oracles import brute_force_nms
 
 def det(start, end, score, label=0, video="v"):
     return Detection(video_id=video, label=label, interval=Interval(start, end), score=score)
+
+
+def iou(a, b):
+    return temporal_iou(a.start, a.end, b.start, b.end)
+
+
+def of_label(table, label):
+    """One label's rows of a detection table as Detections, best first."""
+    return [d for d in table.take(detection_rank(table)) if d.label == label]
 
 
 # --- average fusion ---------------------------------------------------------
@@ -105,9 +115,12 @@ def test_window_means_allocate_no_window_copy():
 # --- temporal IoU -----------------------------------------------------------
 
 def test_iou_examples():
-    assert temporal_iou(Interval(3, 9), Interval(3, 9)) == 1.0
-    assert temporal_iou(Interval(0, 5), Interval(5, 10)) == 0.0
-    assert temporal_iou(Interval(0, 10), Interval(5, 15)) == pytest.approx(1 / 3)
+    assert iou(Interval(3, 9), Interval(3, 9)) == 1.0
+    assert iou(Interval(0, 5), Interval(5, 10)) == 0.0
+    assert iou(Interval(0, 10), Interval(5, 15)) == pytest.approx(1 / 3)
+    # elementwise with broadcasting: each start/end pair against [5, 15)
+    assert temporal_iou(np.array([0, 5, 20]), np.array([10, 15, 30]), 5, 15).tolist() == \
+        [5 / 15, 1.0, 0.0]
 
 
 intervals = st.tuples(st.integers(0, 30), st.integers(1, 10)).map(
@@ -117,10 +130,12 @@ intervals = st.tuples(st.integers(0, 30), st.integers(1, 10)).map(
 @given(intervals, intervals)
 @settings(max_examples=200, deadline=None)
 def test_iou_symmetric_bounded_and_identity(a, b):
-    iou = temporal_iou(a, b)
-    assert iou == temporal_iou(b, a)
-    assert 0.0 <= iou <= 1.0
-    assert (iou == 1.0) == (a == b)
+    value = iou(a, b)
+    assert value == iou(b, a)
+    assert 0.0 <= value <= 1.0
+    assert (value == 1.0) == (a == b)
+    inter = max(0, min(a.end, b.end) - max(a.start, b.start))
+    assert value == inter / (a.length + b.length - inter)  # the exact integer ratio
 
 
 # --- NMS --------------------------------------------------------------------
@@ -157,11 +172,11 @@ def test_nms_rejects_mixed_labels():
 
 def test_nms_matches_brute_force_on_random_small_inputs():
     rng = np.random.default_rng(42)
-    for _ in range(300):
-        count = int(rng.integers(0, 7))
+    for _ in range(400):
+        count = int(rng.integers(0, 13))
         detections = [det(int(s), int(s) + int(l), float(rng.choice([0.1, 0.25, 0.5, 0.5, 0.9])))
-                      for s, l in zip(rng.integers(0, 12, count), rng.integers(1, 8, count))]
-        overlap = float(rng.choice([0.0, 0.2, 0.5, 0.8]))
+                      for s, l in zip(rng.integers(0, 12, count), rng.integers(1, 15, count))]
+        overlap = float(rng.choice([0.0, 0.2, 0.5, 0.7, 0.8, 0.95]))
         assert temporal_nms(detections, overlap) == brute_force_nms(detections, overlap)
 
 
@@ -173,20 +188,35 @@ def test_nms_full_ties_keep_input_order():
 
 def test_localize_matches_brute_force_nms_on_every_label():
     rng = np.random.default_rng(10)
-    for case in range(40):
+    for case in range(300):
         steps, labels = int(rng.integers(1, 60)), int(rng.integers(1, 5))
         # quantized scores: most windows tie with several others
         probs = np.round(rng.random((steps, labels)) * 4) / 4
-        config = LocalizationConfig(window_len=int(rng.integers(1, 12)),
+        config = LocalizationConfig(window_len=int(rng.integers(1, 15)),
                                     window_stride=int(rng.integers(1, 4)),
-                                    nms_overlap=float(rng.choice([0.0, 0.2, 0.5, 0.8, 0.95])))
+                                    nms_overlap=float(rng.choice([0.0, 0.2, 0.5, 0.7, 0.95])))
         result = localize("v", probs, config)
         length = min(config.window_len, steps)
         for label in range(labels):
             candidates = [det(s, s + length, float(probs[s:s + length].mean(axis=0)[label]),
                               label=label)
                           for s in range(0, steps - length + 1, config.window_stride)]
-            assert result[label] == brute_force_nms(candidates, config.nms_overlap), case
+            assert of_label(result, label) == brute_force_nms(candidates, config.nms_overlap), case
+        assert len(result) == sum(len(of_label(result, label)) for label in range(labels))
+
+
+def test_nms_neighbour_graph_memory_is_banded():
+    probs = np.random.default_rng(5).random((100_000, 2))
+    tracemalloc.start()
+    try:
+        kept = localize("v", probs, LocalizationConfig(window_len=10, nms_overlap=0.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # W = 99,991 windows: a W x W boolean matrix alone would take 10 GB; the band
+    # graph holds at most 18 neighbours per window
+    assert peak < 64e6
+    assert 0 < len(kept) < 2 * 99_991
 
 
 def test_nms_output_is_an_antichain(rng):
@@ -195,7 +225,7 @@ def test_nms_output_is_an_antichain(rng):
     for overlap in (0.1, 0.5):
         kept = temporal_nms(detections, overlap)
         for a, b in itertools.combinations(kept, 2):
-            assert temporal_iou(a.interval, b.interval) <= overlap
+            assert iou(a.interval, b.interval) <= overlap
         scores = [d.score for d in kept]
         assert scores == sorted(scores, reverse=True)
 
@@ -237,20 +267,19 @@ def test_localize_single_window_video():
     video = corpus.test_videos[0]
     short = dataclasses.replace(video, frames=video.frames[:10], gt_segments=None)
     result = localize_video(model, short, LocalizationConfig(window_len=10))
-    assert set(result) == {0, 1}
-    for label, dets in result.items():
-        assert len(dets) == 1
-        assert dets[0].interval == Interval(0, 10)
-        assert dets[0].label == label and dets[0].video_id == short.id
+    assert len(result) == 2
+    for label in (0, 1):
+        (only,) = of_label(result, label)
+        assert only.interval == Interval(0, 10) and only.video_id == short.id
 
 
 def test_localize_finds_planted_segment():
     corpus, model = trained_localizer()
     hits = 0
     for video in corpus.test_videos:
-        top = localize_video(model, video, LocalizationConfig())[video.label][0]
+        top = of_label(localize_video(model, video, LocalizationConfig()), video.label)[0]
         (segment,) = video.gt_segments
-        hits += temporal_iou(top.interval, segment) >= 0.5
+        hits += iou(top.interval, segment) >= 0.5
     assert hits >= 3  # of 8 test videos
 
 
@@ -258,7 +287,7 @@ def test_localize_is_deterministic():
     corpus, model = trained_localizer()
     video = corpus.test_videos[0]
     config = LocalizationConfig()
-    assert localize_video(model, video, config) == localize_video(model, video, config)
+    assert list(localize_video(model, video, config)) == list(localize_video(model, video, config))
 
 
 def test_localize_depends_on_frame_order():
@@ -267,7 +296,8 @@ def test_localize_depends_on_frame_order():
     reversed_video = dataclasses.replace(video, frames=video.frames[::-1].copy(),
                                          gt_segments=None)
     config = LocalizationConfig()
-    assert localize_video(model, video, config) != localize_video(model, reversed_video, config)
+    assert list(localize_video(model, video, config)) != \
+        list(localize_video(model, reversed_video, config))
 
 
 def test_localize_rejects_dim_mismatch():
@@ -286,7 +316,7 @@ def test_detection_with_numpy_integer_bounds_saves_and_loads_equal(tmp_path):
     assert type(detection.interval.start) is int and type(detection.interval.end) is int
     path = tmp_path / "det.jsonl"
     save_detections([detection], path)
-    assert load_detections(path) == [detection]
+    assert list(load_detections(path)) == [detection]
 
 
 def test_detections_round_trip_and_ordering(tmp_path):
@@ -294,11 +324,32 @@ def test_detections_round_trip_and_ordering(tmp_path):
                   det(5, 15, 0.25, label=1, video="a")]
     path = tmp_path / "det.jsonl"
     save_detections(detections, path)
-    loaded = load_detections(path)
+    loaded = list(load_detections(path))
     assert loaded == [det(3, 9, 0.75, label=0, video="a"), det(0, 10, 0.5, label=1, video="b"),
                       det(5, 15, 0.25, label=1, video="a")]
     labels = [d.label for d in loaded]
     assert labels == sorted(labels)
+
+
+def test_parse_at_once_reads_what_the_line_parser_reads(tmp_path, monkeypatch):
+    path = tmp_path / "det.jsonl"
+    many = b"".join(b'{"video_id":"c","label":%d,"start":%d,"end":%d,"score":%r}\n'
+                    % (k % 7, k, k + 3, 1.0 / (k + 1)) for k in range(5000))  # two parses
+    path.write_bytes(b'{"video_id":"b","label":1,"start":0,"end":10,"score":2}\r\n\r\n  \n'
+                     b'{"video_id":"a\\u00e9","label":0,"start":3,"end":9,"score":0.75}\r\n'
+                     b'{"score":-0.0,"end":4,"start":1,"label":0,"video_id":"b"}\n\n' + many)
+    expected = load_detection_lines(path)
+    assert list(expected)[:3] == [det(0, 10, 2.0, label=1, video="b"),
+                                  det(3, 9, 0.75, label=0, video="a\u00e9"),
+                                  det(1, 4, -0.0, label=0, video="b")]
+    monkeypatch.setattr("laf.localization.load_detection_lines", None)  # no line-parser fallback
+    loaded = load_detections(path)
+    assert len(loaded) == 5003
+    for name in ("video_id", "label", "start", "end", "score"):
+        got, want = getattr(loaded, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+    assert np.signbit(loaded.score[:3]).tolist() == [False, False, True]
+    assert type(loaded.score[0].item()) is float
 
 
 def test_localize_videos_covers_every_test_video():
