@@ -16,7 +16,7 @@ from .errors import (ConfigError, CorpusFormatError, LafError, TransferCollapseE
                      ValidationError)
 from .evaluation import EvalConfig, average_precision, evaluate, hit_at_k
 from .localization import (Detection, DetectionTable, LocalizationConfig, classify_video, localize,
-                           nms_mask, sliding_window_scores, temporal_iou, temporal_nms)
+                           sliding_window_scores, temporal_iou, temporal_nms)
 from .lstm import (LstmModel, LstmState, LstmTrainConfig, load_lstm, lstm_backward,
                    lstm_forward, lstm_step, save_lstm, train_lstm, weighted_sequence_loss)
 from .synth import SynthSpec, corpus_stats, generate_corpus

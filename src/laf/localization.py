@@ -167,8 +167,8 @@ def _neighbours(starts: np.ndarray, ends: np.ndarray, overlap: float) -> np.ndar
     return table
 
 
-def nms_mask(starts: np.ndarray, ends: np.ndarray, scores: np.ndarray,
-             overlap: float) -> np.ndarray:
+def _nms_mask(starts: np.ndarray, ends: np.ndarray, scores: np.ndarray,
+              overlap: float) -> np.ndarray:
     """Greedy NMS of every label of one video at once: the (W, N) kept mask.
 
     Each label keeps its best remaining window and drops the windows whose IoU
@@ -192,15 +192,15 @@ def nms_mask(starts: np.ndarray, ends: np.ndarray, scores: np.ndarray,
 
 
 def temporal_nms(candidates: WindowScores | Sequence[Detection], nms_overlap: float):
-    """Greedy suppression within each label, with the tie rule of :func:`nms_mask`.
+    """Greedy suppression within each label, with the tie rule of :func:`_nms_mask`.
 
     Window scores give a :class:`DetectionTable` of the kept (window, label)
     pairs. A list of one label's detections gives the kept ones, by descending
     score with the same tie rule.
     """
     if isinstance(candidates, WindowScores):
-        windows, labels = np.nonzero(nms_mask(candidates.start, candidates.end,
-                                              candidates.scores, nms_overlap))
+        windows, labels = np.nonzero(_nms_mask(candidates.start, candidates.end,
+                                               candidates.scores, nms_overlap))
         return DetectionTable(np.full(len(windows), candidates.video_id, dtype=object), labels,
                               candidates.start[windows], candidates.end[windows],
                               candidates.scores[windows, labels])
@@ -209,7 +209,7 @@ def temporal_nms(candidates: WindowScores | Sequence[Detection], nms_overlap: fl
         raise ValidationError(f"temporal_nms expects a single label, got {sorted(labels)}")
     table = DetectionTable.of(candidates)
     scores = table.score[:, None]
-    kept = nms_mask(table.start, table.end, scores, nms_overlap)[:, 0]
+    kept = _nms_mask(table.start, table.end, scores, nms_overlap)[:, 0]
     return [candidates[i] for i in _greedy_order(table.start, table.end, scores)[:, 0] if kept[i]]
 
 
@@ -262,15 +262,30 @@ def save_detections(detections: DetectionTable | Iterable[Detection], path: str 
 DETECTION_KINDS = {"video_id": str, "label": int, "start": int, "end": int, "score": float}
 
 
+def _detection_columns(columns: Sequence[Sequence]) -> DetectionTable:
+    """The table of the :data:`DETECTION_KINDS` columns, whose values must be of the
+    kinds that :func:`json_fields` takes and give a finite score and a valid
+    :class:`Interval`; ValueError otherwise. Both loaders build their table here."""
+    for column, kind in zip(columns, DETECTION_KINDS.values()):
+        if {*map(type, column)} - ({int, float} if kind is float else {kind}):
+            raise ValueError("a field of the wrong JSON type")
+    table = DetectionTable.from_columns(*columns)
+    if not (np.isfinite(table.score).all() and (0 <= table.start).all()
+            and (table.start < table.end).all()):
+        raise ValueError("a score or interval out of range")
+    return table
+
+
 def load_detections(path: str | Path) -> DetectionTable:
     """Read a detections file with one ``json.loads`` per 4096 nonblank lines.
 
     Each parse is kept only where it reads every line as
-    :func:`load_detection_lines` would: each line is one ``{...}``, there are
-    as many records as lines, and each record has exactly the five fields,
-    with valid values. No JSON string holds a raw newline, so no record then
-    spans or shares a line. Any other file is read line by line, and its
-    errors name the line.
+    :func:`load_detection_lines` would: each line is one ``{...}`` and holds
+    no other ``{``, so no object is nested; there are as many records as
+    lines, each with exactly the five fields; and the values are valid. No
+    JSON string holds a raw newline, so no record then spans or shares a line,
+    and each line parses alone to the same record. Any other file is read
+    line by line, and its errors name the line.
     """
     lines = [line for line in Path(path).read_bytes().split(b"\n") if line.strip()]
     try:
@@ -282,31 +297,26 @@ def load_detections(path: str | Path) -> DetectionTable:
 
 def _parse_at_once(lines: list[bytes]) -> DetectionTable:
     """The detections of ``lines`` from one parse of them joined as a JSON array;
-    ValueError or KeyError unless each line is one record of five valid fields."""
-    if not all(line[:1] == b"{" and line.rstrip(b"\r")[-1:] == b"}" for line in lines):
-        raise ValueError("not one record per line")
-    records = json.loads((b"[" + b",\n".join(lines) + b"]").decode("utf-8"))
-    if len(records) != len(lines) or not all(type(r) is dict and len(r) == 5 for r in records):
+    ValueError or KeyError unless each line is one valid detection record."""
+    text = b"[" + b",\n".join(lines) + b"]"
+    if text.count(b"{") != len(lines) \
+            or not all(line[:1] == b"{" and line.rstrip(b"\r")[-1:] == b"}" for line in lines):
+        raise ValueError("not one flat record per line")
+    records = json.loads(text.decode("utf-8"))
+    if len(records) != len(lines) or {*map(type, records)} != {dict} \
+            or {*map(len, records)} != {len(DETECTION_KINDS)}:
         raise ValueError("not one record of the five fields per line")
-    ids, labels, starts, ends, scores = ([r[key] for r in records] for key in DETECTION_KINDS)
-    if {*map(type, ids)} - {str} or {*map(type, labels + starts + ends)} - {int} \
-            or {*map(type, scores)} - {int, float}:
-        raise ValueError("a field of the wrong JSON type")
-    table = DetectionTable.from_columns(ids, labels, starts, ends, scores)
-    if not (np.isfinite(table.score).all() and (0 <= table.start).all()
-            and (table.start < table.end).all()):
-        raise ValueError("a score or interval out of range")
-    return table
+    return _detection_columns([[r[key] for r in records] for key in DETECTION_KINDS])
 
 
 def load_detection_lines(path: str | Path) -> DetectionTable:
     """Read a detections file one line at a time; an error names its line."""
-    detections = []
+    records = []
     for line_no, rec in read_json_lines(path):
         try:
             det = json_fields(rec, DETECTION_KINDS, "detection")
-            detections.append(Detection(det["video_id"], det["label"],
-                                        Interval(det["start"], det["end"]), det["score"]))
+            Interval(det["start"], det["end"])
         except ValidationError as exc:
             raise CorpusFormatError(f"line {line_no}: {exc}") from exc
-    return DetectionTable.of(detections)
+        records.append(tuple(det.values()))
+    return _detection_columns(list(zip(*records)) or [()] * len(DETECTION_KINDS))

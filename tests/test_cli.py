@@ -289,6 +289,8 @@ NOT_ONE_RECORD_PER_LINE = {  # the one parse must leave each to the line parser
                                            '"start":0,"end":5,"score":1.0}',
                                            f"{{{RECORD}}},{{{RECORD}}}"],
     "two_records_on_one_line": [f"{{{RECORD}}},{{{RECORD}}}"],
+    "repeated_key_hides_a_split_record": ['{"video_id":"v","label":0,"start":0,"end":5,"score":[{}',
+                                          '{}],"score":1.0}', f"{{{RECORD}}},{{{RECORD}}}"],
 }
 
 
