@@ -16,8 +16,7 @@ import numpy as np
 
 from .corpus import Interval, VideoSequence
 from .errors import ValidationError
-from .localization import (Detection, DetectionTable, detection_rank, temporal_iou,
-                           video_positions)
+from .localization import Detection, DetectionTable, detection_rank, temporal_iou
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,8 @@ def average_precision(detections: DetectionTable | Sequence[Detection],
     """AP for one label; ground truth maps video id -> its true segments.
 
     Detections go in :func:`detection_rank` order. In each video with ground
-    truth, one IoU array against its segments gives every detection its best
-    still-unmatched segment (the first one on ties).
+    truth, whose rows its code selects, one IoU array against its segments gives
+    every detection its best still-unmatched segment (the first one on ties).
     """
     total_gt = sum(len(segs) for segs in ground_truth.values())
     if total_gt == 0:
@@ -63,8 +62,9 @@ def average_precision(detections: DetectionTable | Sequence[Detection],
     table = DetectionTable.of(detections)
     table = table.take(detection_rank(table))
     is_tp = np.zeros(len(table), dtype=bool)
+    code = dict(zip(table.videos, range(len(table.videos))))
     for video_id, segments in ground_truth.items():
-        rows = np.flatnonzero(table.video_id == video_id)
+        rows = np.flatnonzero(table.video == code.get(video_id, -1))
         bounds = np.array([(seg.start, seg.end) for seg in segments], dtype=np.int64).reshape(-1, 2)
         iou = temporal_iou(table.start[rows, None], table.end[rows, None], *bounds.T)
         matched = np.zeros(len(segments), dtype=bool)
@@ -92,12 +92,12 @@ def max_pooled_scores(detections: DetectionTable, videos: Sequence[VideoSequence
     """Fallback video-level scores: the best detection score per (video, label).
 
     Used when average-fusion scores were not saved alongside the detections;
-    videos without any detection for a label keep score 0.
+    videos without any detection for a label keep score 0. Ids no row uses may be unknown.
     """
     index = {video.id: row for row, video in enumerate(videos)}
     scores = np.zeros((len(videos), num_labels))
-    rows = np.array([index[vid] for vid in detections.video_id.tolist()], dtype=np.intp)
-    np.maximum.at(scores, (rows, detections.label), detections.score)
+    rows = np.array([index.get(vid, len(videos)) for vid in detections.videos], dtype=np.intp)
+    np.maximum.at(scores, (rows[detections.video], detections.label), detections.score)
     return scores
 
 
@@ -109,8 +109,7 @@ def evaluate(detections: DetectionTable | Sequence[Detection], videos: Sequence[
         raise ValidationError("evaluation needs a nonempty video set")
     table = DetectionTable.of(detections)
     steps = {video.id: video.num_steps for video in videos}
-    ids, video = video_positions(table)
-    limit = np.array([steps.get(vid, -1) for vid in ids], dtype=np.int64)[video]
+    limit = np.array([steps.get(vid, -1) for vid in table.videos], dtype=np.int64)[table.video]
     bad = (limit < 0) | (table.label < 0) | (table.label >= num_labels) | (table.end > limit)
     for det in table.take(bad):  # the first bad detection raises
         if det.video_id not in steps:

@@ -8,7 +8,6 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -89,13 +88,6 @@ def json_line(raw: bytes, line_no: int):
         raise CorpusFormatError(f"line {line_no}: not UTF-8 text ({exc.reason})") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise CorpusFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-
-
-def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
-    """(line number, value) of each nonblank line of a JSON Lines file."""
-    for line_no, line in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
-        if line.strip():
-            yield line_no, json_line(line, line_no)
 
 
 def read_json_object(path: str | Path, fmt: str | None = None, version: int | None = None,

@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import Interval, VideoSequence
 from .errors import CorpusFormatError, ValidationError
-from .ioutil import atomic_write_text, json_fields, read_json_lines
+from .ioutil import atomic_write_text, json_fields, json_line
 from .lstm import LstmModel, lstm_forward
 
 
@@ -54,9 +54,11 @@ class Detection:
 @dataclass(frozen=True, eq=False)
 class DetectionTable:
     """Detections as columns: row i scores ``score[i]`` for window [start[i], end[i]) of
-    ``label[i]`` in video ``video_id[i]`` (an object array of str)."""
+    ``label[i]`` in video ``videos[video[i]]``. :meth:`from_columns` codes ids into their
+    sorted distinct set ``videos``, so codes sort as ids do; ``videos`` may hold unused ids."""
 
-    video_id: np.ndarray
+    videos: tuple[str, ...]
+    video: np.ndarray
     label: np.ndarray
     start: np.ndarray
     end: np.ndarray
@@ -71,30 +73,44 @@ class DetectionTable:
         return cls.from_columns(*(zip(*rows) if rows else ((),) * 5))
 
     @classmethod
-    def from_columns(cls, ids, labels, starts, ends, scores) -> DetectionTable:
-        """A table of the five column sequences, cast to the column dtypes."""
+    def from_columns(cls, ids, labels, starts, ends, scores, video=None) -> DetectionTable:
+        """The five columns as a table; with ``video``, row i's id is ``ids[video[i]]``."""
+        videos = tuple(sorted(set(ids)))
+        index = dict(zip(videos, range(len(videos))))
+        codes = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
         try:
-            return cls(np.array(ids, dtype=object), *(np.array(c, dtype=np.int64)
-                                                      for c in (labels, starts, ends)),
+            return cls(videos, codes if video is None else codes[video],
+                       *(np.array(c, dtype=np.int64) for c in (labels, starts, ends)),
                        np.array(scores, dtype=np.float64))
         except OverflowError as exc:
             raise ValidationError(f"detection labels and bounds must fit in 64 bits ({exc})") from exc
 
     @classmethod
     def concat(cls, tables: Sequence[DetectionTable]) -> DetectionTable:
-        columns = zip(*(vars(table).values() for table in tables))
-        return cls(*map(np.concatenate, columns)) if tables else cls.of(())
+        if not tables:
+            return cls.of(())
+        videos, codes, *columns = zip(*(vars(table).values() for table in tables))
+        offsets = np.cumsum([0, *map(len, videos)])
+        return cls.from_columns([v for ids in videos for v in ids], *map(np.concatenate, columns),
+                                video=np.concatenate([c + k for c, k in zip(codes, offsets)]))
+
+    @property
+    def video_id(self) -> np.ndarray:
+        """Each row's video id, decoded into an object array of str."""
+        return np.array(self.videos, dtype=object)[self.video]
 
     def __len__(self) -> int:
         return len(self.score)
 
     def __iter__(self):
         """The rows as :class:`Detection` objects, for callers off the hot path."""
-        for vid, label, start, end, score in zip(*(c.tolist() for c in vars(self).values())):
-            yield Detection(vid, label, Interval(start, end), score)
+        videos, *columns = vars(self).values()
+        for code, label, start, end, score in zip(*(c.tolist() for c in columns)):
+            yield Detection(videos[code], label, Interval(start, end), score)
 
     def take(self, rows) -> DetectionTable:
-        return DetectionTable(*(column[rows] for column in vars(self).values()))
+        videos, *columns = vars(self).values()
+        return DetectionTable(videos, *(column[rows] for column in columns))
 
 
 @dataclass(frozen=True)
@@ -201,8 +217,8 @@ def temporal_nms(candidates: WindowScores | Sequence[Detection], nms_overlap: fl
     if isinstance(candidates, WindowScores):
         windows, labels = np.nonzero(_nms_mask(candidates.start, candidates.end,
                                                candidates.scores, nms_overlap))
-        return DetectionTable(np.full(len(windows), candidates.video_id, dtype=object), labels,
-                              candidates.start[windows], candidates.end[windows],
+        return DetectionTable((candidates.video_id,), np.zeros(len(windows), dtype=np.int64),
+                              labels, candidates.start[windows], candidates.end[windows],
                               candidates.scores[windows, labels])
     labels = {d.label for d in candidates}
     if len(labels) > 1:
@@ -231,31 +247,21 @@ def localize_videos(model: LstmModel, videos: Sequence[VideoSequence], config: L
     return DetectionTable.concat(tables), fused
 
 
-def video_positions(table: DetectionTable) -> tuple[list[str], np.ndarray]:
-    """The distinct video ids in sorted order, and each row's index among them."""
-    ids = table.video_id.tolist()
-    names = sorted(set(ids))
-    index = {vid: k for k, vid in enumerate(names)}
-    return names, np.array([index[vid] for vid in ids], dtype=np.intp)
-
-
 def detection_rank(table: DetectionTable) -> np.ndarray:
     """The one detection order, as row indices: by label, then descending score,
     video id and start; stable, so full ties keep their order."""
-    return np.lexsort((table.start, video_positions(table)[1], -table.score, table.label))
+    return np.lexsort((table.start, table.video, -table.score, table.label))
 
 
 def save_detections(detections: DetectionTable | Iterable[Detection], path: str | Path) -> None:
     """JSON Lines in :func:`detection_rank` order, each line as ``json.dumps`` with
     compact separators writes the record, formatted from the columns."""
     table = DetectionTable.of(detections)
-    table = table.take(detection_rank(table))
-    ids, video = video_positions(table)
-    quoted = [json.dumps(vid) for vid in ids]
+    videos, *columns = vars(table.take(detection_rank(table))).values()
+    quoted = [json.dumps(vid) for vid in videos]
     lines = [f'{{"video_id":{quoted[v]},"label":{label},"start":{start},"end":{end},'
              f'"score":{score!r}}}' for v, label, start, end, score
-             in zip(video.tolist(), *(c.tolist() for c in (table.label, table.start, table.end,
-                                                          table.score)))]
+             in zip(*(c.tolist() for c in columns))]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -312,11 +318,13 @@ def _parse_at_once(lines: list[bytes]) -> DetectionTable:
 def load_detection_lines(path: str | Path) -> DetectionTable:
     """Read a detections file one line at a time; an error names its line."""
     records = []
-    for line_no, rec in read_json_lines(path):
-        try:
-            det = json_fields(rec, DETECTION_KINDS, "detection")
-            Interval(det["start"], det["end"])
-        except ValidationError as exc:
-            raise CorpusFormatError(f"line {line_no}: {exc}") from exc
-        records.append(tuple(det.values()))
+    for line_no, line in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
+        if line.strip():
+            rec = json_line(line, line_no)
+            try:
+                det = json_fields(rec, DETECTION_KINDS, "detection")
+                Interval(det["start"], det["end"])
+            except ValidationError as exc:
+                raise CorpusFormatError(f"line {line_no}: {exc}") from exc
+            records.append(tuple(det.values()))
     return _detection_columns(list(zip(*records)) or [()] * len(DETECTION_KINDS))

@@ -183,21 +183,19 @@ def lstm_forward(model: LstmModel, frames: np.ndarray,
     return y, softmax(y, axis=1), SequenceTrace(frames, c, r, gates, hc, m, y)
 
 
-def weighted_sequence_loss(probs: np.ndarray, label: int, weights: np.ndarray,
-                           weight_floor: float = 0.0) -> float:
-    """Sum over steps of max(weight, floor) * -log P(label)."""
+def weighted_sequence_loss(probs: np.ndarray, label: int, weights: np.ndarray) -> float:
+    """Sum over steps of weight * -log P(label)."""
     probs = np.asarray(probs)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (probs.shape[0],):
         raise ValidationError(f"weights length {weights.shape} != {probs.shape[0]} steps")
     if weights.size and weights.min() < 0:
         raise ValidationError("weights must be nonnegative")
-    effective = np.maximum(weights, weight_floor)
-    return float(np.sum(effective * -np.log(probs[:, label])))
+    return float(np.sum(weights * -np.log(probs[:, label])))
 
 
 def lstm_backward(model: LstmModel, trace: SequenceTrace, label: int, weights: np.ndarray,
-                  unroll_k: int | None = None, weight_floor: float = 0.0) -> dict[str, np.ndarray]:
+                  unroll_k: int | None = None) -> dict[str, np.ndarray]:
     """Gradients of :func:`weighted_sequence_loss` wrt every parameter.
 
     ``unroll_k`` truncates error flow: the loss at step t reaches parameters
@@ -213,7 +211,6 @@ def lstm_backward(model: LstmModel, trace: SequenceTrace, label: int, weights: n
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (steps,):
         raise ValidationError(f"weights length {weights.shape} != {steps} steps")
-    effective = np.maximum(weights, weight_floor)
 
     truncate = unroll_k is not None and unroll_k < steps
     if truncate and unroll_k < 1:
@@ -225,7 +222,7 @@ def lstm_backward(model: LstmModel, trace: SequenceTrace, label: int, weights: n
     # Loss error of every step, and what it injects into r_t.
     dy = softmax(trace.y, axis=1)
     dy[:, label] -= 1.0
-    dy *= effective[:, None]
+    dy *= weights[:, None]
     inject = dy @ model.w_yr
 
     # Per-step derivative factors: gate errors are carrier errors times these.
@@ -275,8 +272,6 @@ class LstmTrainConfig:
     batch_size: int = 12
     epochs: int = 10
     gradient_clip: float | None = 5.0
-    weight_floor_epsilon: float = 0.0
-    init_scale: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -290,10 +285,6 @@ class LstmTrainConfig:
             raise ValidationError("epochs must be >= 0")
         if self.gradient_clip is not None and not self.gradient_clip > 0:
             raise ValidationError("gradient_clip must be positive or None")
-        if not (0.0 <= self.weight_floor_epsilon < 1.0):
-            raise ValidationError("weight_floor_epsilon must lie in [0, 1)")
-        if not self.init_scale > 0:
-            raise ValidationError("init_scale must be positive")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the divergence check reports non-finite values
@@ -314,7 +305,7 @@ def train_lstm(train_videos: Sequence[VideoSequence], config: LstmTrainConfig, n
             raise ValidationError(f"video {video.id!r} is missing laf_weights")
 
     model = init_model(feature_dim, config.num_cells, config.proj_dim, num_labels,
-                       config.init_scale, config.seed)
+                       seed=config.seed)
     rng = np.random.default_rng(config.seed)
     clip = config.gradient_clip
     epoch_losses: list[float] = []
@@ -329,10 +320,9 @@ def train_lstm(train_videos: Sequence[VideoSequence], config: LstmTrainConfig, n
             for index in batch:
                 video = train_videos[index]
                 _, probs, trace = lstm_forward(model, video.frames)
-                total_loss += weighted_sequence_loss(probs, video.label, video.laf_weights,
-                                                     config.weight_floor_epsilon)
+                total_loss += weighted_sequence_loss(probs, video.label, video.laf_weights)
                 video_grads = lstm_backward(model, trace, video.label, video.laf_weights,
-                                            config.unroll_k, config.weight_floor_epsilon)
+                                            config.unroll_k)
                 for name in PARAM_FIELDS:
                     grads[name] += video_grads[name]
             for name in PARAM_FIELDS:

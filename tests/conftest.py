@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from laf.corpus import Corpus, Interval, VideoSequence, WebImage
+from laf.localization import Detection
+
+# Video ids whose sorted order ("a" < "a\u00e9" < "b") reverses their first appearance.
+MULTI_VIDEO_IDS = ("b", "a\u00e9", "a")
 
 
 def make_image(idx, label, feature, relevant=None):
@@ -19,6 +23,16 @@ def make_video(idx, label, frames, split="train", gt=None, weights=None):
         gt_segments=tuple(Interval(s, e) for s, e in gt) if gt is not None else None,
         laf_weights=np.asarray(weights, dtype=np.float64) if weights is not None else None,
     )
+
+
+def multi_video_detections(rng, count, labels=1):
+    """``count`` >= 3 detections over MULTI_VIDEO_IDS, with scores and starts drawn from
+    few values so that they tie across videos; the first three name the videos in turn."""
+    videos = [*MULTI_VIDEO_IDS, *rng.choice(MULTI_VIDEO_IDS, count - 3).tolist()]
+    return [Detection(video, int(label), Interval(int(start), int(start + length)), float(score))
+            for video, label, start, length, score
+            in zip(videos, rng.integers(0, labels, count), rng.integers(0, 3, count),
+                   rng.integers(1, 5, count), rng.choice([0.3, 0.6], count))]
 
 
 def random_corpus(rng, num_labels=3, dim=4, images=5, videos=2, max_steps=6,

@@ -13,7 +13,7 @@ import pytest
 import laf
 from laf import localization, lstm, pipeline
 from laf.cli import main
-from laf.corpus import Interval, load_corpus, save_corpus
+from laf.corpus import Corpus, Interval, VideoSequence, load_corpus, save_corpus
 from laf.errors import ValidationError
 from laf.localization import load_detections, save_detections, Detection
 from laf.lstm import PARAM_FIELDS, load_lstm, train_lstm
@@ -305,6 +305,52 @@ def test_detections_not_one_record_per_line_fail_by_line(case, config_path, tmp_
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: line 1: invalid JSON"), err
     assert not (tmp_path / "r.json").exists()
+
+
+def detection_lines(escape_brace, **extra):
+    """The lines of ROWS; ``escape_brace`` writes the ``{`` of an id as ``\\u007b``."""
+    lines = [json.dumps({"video_id": vid, "label": label, "start": start, "end": end,
+                         "score": score, **extra}, separators=(",", ":"))
+             for vid, label, start, end, score in ROWS]
+    return [line.replace("v{1", "v\\u007b1") if escape_brace else line for line in lines]
+
+
+ROWS = [("b", 1, 0, 5, 0.5), ("v{1", 0, 2, 6, 0.75), ("a", 1, 1, 4, 0.5), ("b", 0, 3, 7, 0.25)]
+ONLY_THE_LINE_PARSER_READS = {  # valid files, each with (file, an equal file the one parse reads)
+    "brace_in_a_video_id": (detection_lines(False), detection_lines(True)),
+    "extra_key": (detection_lines(True, note="x"), detection_lines(True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONLY_THE_LINE_PARSER_READS))
+def test_valid_detections_read_by_the_line_parser(case, config_path, tmp_path, monkeypatch):
+    line_parser, parsed = localization.load_detection_lines, []
+    monkeypatch.setattr(localization, "load_detection_lines",
+                        lambda path: parsed.append(path) or line_parser(path))
+    slow, fast = tmp_path / "slow.jsonl", tmp_path / "fast.jsonl"
+    for path, lines in zip((slow, fast), ONLY_THE_LINE_PARSER_READS[case]):
+        path.write_text("\n".join(lines) + "\n")
+    expected = load_detections(fast)
+    assert parsed == []
+    loaded = load_detections(slow)
+    assert parsed == [slow]
+    assert list(loaded) == [Detection(vid, label, Interval(start, end), score)
+                            for vid, label, start, end, score in ROWS]
+    assert loaded.videos == expected.videos == ("a", "b", "v{1")
+    for name in ("video", "label", "start", "end", "score"):
+        got, want = getattr(loaded, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(Corpus(num_labels=2, feature_dim=1, images=(), train_videos=(),
+                       validation_videos=(),
+                       test_videos=tuple(VideoSequence(vid, label, np.zeros((8, 1)),
+                                                       gt_segments=(Interval(0, 5),))
+                                         for vid, label in (("a", 1), ("b", 0), ("v{1", 0)))),
+                corpus_path)
+    assert run_cli("eval", "--config", config_path, "--detections", str(slow),
+                   "--corpus", str(corpus_path), "--out", str(tmp_path / "r.json")) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["map_at"]["0.1"] > 0
 
 
 def test_repeated_localize_and_eval_keep_no_state(config_path, tmp_path):

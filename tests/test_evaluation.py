@@ -3,13 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from laf.corpus import Interval
+from laf.corpus import Interval, VideoSequence
 from laf.errors import ValidationError
 from laf.evaluation import (EvalConfig, average_precision, evaluate, ground_truth_by_label,
                             hit_at_k, max_pooled_scores)
 from laf.localization import Detection, DetectionTable
 
-from conftest import make_video
+from conftest import MULTI_VIDEO_IDS, make_video, multi_video_detections
 from oracles import brute_force_average_precision
 
 
@@ -136,6 +136,47 @@ def test_ap_matches_brute_force_on_exhaustive_small_family():
                         assert average_precision(detections, gt, ratio) == pytest.approx(expected, abs=1e-12)
                         checked += 1
     assert checked > 500
+
+
+def random_segments(rng, count):
+    return [Interval(int(s), int(s + n)) for s, n in zip(rng.integers(0, 3, count),
+                                                         rng.integers(1, 5, count))]
+
+
+def test_ap_matches_brute_force_on_tied_detections_of_several_videos():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(300):
+        detections = multi_video_detections(rng, int(rng.integers(3, 10)))
+        gt = {vid: random_segments(rng, int(count))
+              for vid, count in zip(MULTI_VIDEO_IDS, rng.integers(0, 3, 3))}
+        if not any(gt.values()):
+            continue
+        for ratio in (0.1, 0.4):
+            expected = brute_force_average_precision(detections, gt, ratio)
+            assert average_precision(detections, gt, ratio) == pytest.approx(expected, abs=1e-12)
+            checked += 1
+    assert checked > 400
+
+
+def test_evaluate_per_label_ap_matches_brute_force_on_several_videos():
+    rng = np.random.default_rng(12)
+    config = EvalConfig(hit_ks=(1,), overlap_ratios=(0.1, 0.4))
+    for _ in range(60):
+        videos = [VideoSequence(vid, int(label), np.zeros((6, 1)),
+                                gt_segments=tuple(random_segments(rng, int(rng.integers(1, 3)))))
+                  for vid, label in zip(MULTI_VIDEO_IDS, rng.integers(0, 2, 3))]
+        detections = multi_video_detections(rng, int(rng.integers(3, 12)), labels=2)
+        report = evaluate(detections, videos, config, num_labels=2)
+        labels = sorted({video.label for video in videos})
+        assert list(report["per_label_ap"]) == [str(label) for label in labels]
+        for label in labels:
+            gt = {video.id: list(video.gt_segments) for video in videos if video.label == label}
+            ours = [d for d in detections if d.label == label]
+            for ratio in config.overlap_ratios:
+                expected = brute_force_average_precision(ours, gt, ratio)
+                assert report["per_label_ap"][str(label)][format(ratio, "g")] == \
+                    pytest.approx(expected, abs=1e-12)
 
 
 def test_ap_is_one_exactly_when_all_segments_match_before_any_fp():

@@ -16,6 +16,7 @@ from laf.localization import (Detection, DetectionTable, LocalizationConfig, cla
 from laf.lstm import LstmTrainConfig, lstm_forward, train_lstm
 from laf.synth import SynthSpec, generate_corpus
 
+from conftest import multi_video_detections
 from oracles import brute_force_nms
 
 
@@ -329,6 +330,16 @@ def test_detections_round_trip_and_ordering(tmp_path):
                       det(5, 15, 0.25, label=1, video="a")]
     labels = [d.label for d in loaded]
     assert labels == sorted(labels)
+
+
+def test_round_trip_orders_tied_detections_of_several_videos_by_id(tmp_path):
+    rng = np.random.default_rng(13)
+    for case in range(40):
+        detections = multi_video_detections(rng, int(rng.integers(3, 15)), labels=3)
+        path = tmp_path / f"det{case}.jsonl"
+        save_detections(detections, path)
+        assert list(load_detections(path)) == sorted(
+            detections, key=lambda d: (d.label, -d.score, d.video_id, d.interval.start))
 
 
 def test_parse_at_once_reads_what_the_line_parser_reads(tmp_path, monkeypatch):

@@ -26,9 +26,9 @@ def random_model(seed, d=2, nc=3, nr=2, nl=2, scale=0.4):
     return init_model(d, nc, nr, nl, init_scale=scale, seed=seed)
 
 
-def sequence_loss_of(model, frames, label, weights, floor=0.0):
+def sequence_loss_of(model, frames, label, weights):
     _, probs, _ = lstm_forward(model, frames)
-    return weighted_sequence_loss(probs, label, weights, floor)
+    return weighted_sequence_loss(probs, label, weights)
 
 
 def finite_difference_grads(loss_fn, model, step=1e-6):
@@ -201,12 +201,6 @@ def test_loss_weighted_sum():
     assert loss == pytest.approx(math.log(2), rel=1e-12)
 
 
-def test_loss_weight_floor():
-    probs = np.array([[0.5, 0.5]])
-    assert weighted_sequence_loss(probs, 0, np.zeros(1), weight_floor=0.25) == \
-        pytest.approx(0.25 * math.log(2), rel=1e-12)
-
-
 def test_loss_rejects_bad_weights():
     probs = np.full((2, 2), 0.5)
     with pytest.raises(ValidationError):
@@ -239,17 +233,6 @@ def test_full_bptt_matches_finite_differences():
         numeric = finite_difference_grads(
             lambda m: sequence_loss_of(m, frames, label, weights), model)
         assert max_relative_error(analytic, numeric) < 1e-5
-
-
-def test_weight_floor_enters_gradients():
-    model = random_model(4)
-    frames = np.random.default_rng(4).normal(0, 1, (3, 2))
-    weights = np.array([0.0, 0.5, 0.0])
-    _, _, trace = lstm_forward(model, frames)
-    analytic = lstm_backward(model, trace, 0, weights, weight_floor=0.2)
-    numeric = finite_difference_grads(
-        lambda m: sequence_loss_of(m, frames, 0, weights, floor=0.2), model)
-    assert max_relative_error(analytic, numeric) < 1e-5
 
 
 def test_truncation_at_sequence_length_is_bitwise_full_bptt():
@@ -360,7 +343,7 @@ def test_zero_epochs_returns_seeded_initial_model():
     model, losses = train_lstm(videos, config, corpus.num_labels, corpus.feature_dim)
     assert losses == []
     reference = init_model(corpus.feature_dim, config.num_cells, config.proj_dim,
-                           corpus.num_labels, config.init_scale, config.seed)
+                           corpus.num_labels, seed=config.seed)
     for name in PARAM_FIELDS:
         assert np.array_equal(getattr(model, name), getattr(reference, name))
     np.testing.assert_array_equal(model.b_f, 1.0)
@@ -474,5 +457,3 @@ def test_config_validation():
         LstmTrainConfig(lr_decay=0.0)
     with pytest.raises(ValidationError):
         LstmTrainConfig(unroll_k=0)
-    with pytest.raises(ValidationError):
-        LstmTrainConfig(weight_floor_epsilon=1.0)

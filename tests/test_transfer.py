@@ -6,6 +6,7 @@ import pytest
 
 from laf.classifier import Classifier, ClassifierTrainConfig, train_classifier
 from laf.errors import TransferCollapseError, ValidationError
+from laf.experiments import experiment_config
 from laf.synth import SynthSpec, generate_corpus, image_pool_purity
 from laf.transfer import (TransferConfig, filter_scores, initialize_frame_set,
                           laf_scores_for_video, run_domain_transfer, validation_accuracy)
@@ -187,13 +188,17 @@ def test_pool_sizes_never_grow():
 
 
 def test_removed_items_scored_at_or_below_threshold():
-    config = transfer_config(max_iterations=4)
-    result = run_domain_transfer(small_corpus(), config)
-    for entry in result.log:
-        if entry.max_removed_image_score is not None:
-            assert entry.max_removed_image_score <= config.theta1
-        if entry.max_removed_frame_score is not None:
-            assert entry.max_removed_frame_score <= config.theta2
+    desk = experiment_config(0)
+    for corpus, config in ((small_corpus(), transfer_config(max_iterations=4)),
+                           (generate_corpus(desk.synth), desk.transfer)):
+        log = run_domain_transfer(corpus, config).log
+        for entry in log:
+            if entry.max_removed_image_score is not None:
+                assert entry.max_removed_image_score <= config.theta1
+            if entry.max_removed_frame_score is not None:
+                assert entry.max_removed_frame_score <= config.theta2
+        assert any(entry.max_removed_image_score is not None for entry in log)
+        assert any(entry.max_removed_frame_score is not None for entry in log)
 
 
 def test_transfer_is_deterministic():
