@@ -138,8 +138,14 @@ def evaluate(detections: DetectionTable | Sequence[Detection], videos: Sequence[
         report["hit_at"][str(k)] = hit_at_k(scores, labels, k)
 
     gt = ground_truth_by_label(videos)
-    by_label = {label: table.take(table.label == label) for label in sorted(gt)}
-    per_label: dict[str, dict[str, float]] = {str(label): {} for label in sorted(gt)}
+    gt_labels = sorted(gt)
+    # Rows by label, in table order within one; labels are checked to lie in [0, num_labels),
+    # so the narrowest unsigned type holds them and the stable sort is a radix sort.
+    grouped = np.argsort(table.label.astype(np.min_scalar_type(num_labels)), kind="stable")
+    bounds = np.searchsorted(table.label[grouped], [[label, label + 1] for label in gt_labels])
+    by_label = {label: table.take(grouped[first:last])
+                for label, (first, last) in zip(gt_labels, bounds)}
+    per_label: dict[str, dict[str, float]] = {str(label): {} for label in gt_labels}
     for ratio in config.overlap_ratios:
         key = format(ratio, "g")
         aps = {label: average_precision(dets, gt[label], ratio) for label, dets in by_label.items()}

@@ -10,11 +10,14 @@ Cell update per step (sigma = logistic, elementwise peepholes):
     r_t = W_rm m_t
     y_t = W_yr r_t + b_y
 
-The sequence loss is a weighted sum of per-step cross-entropies against the
-single video-level label. The backward pass is exact, except that the error
+The sequence loss is a weighted sum of per-step cross-entropies against each
+video's single label. The backward pass is exact, except that the error
 injected at step t flows back at most ``unroll_k`` steps (the cell state
 itself is never reset; only error flow is cut). With ``unroll_k >= T`` the
 result is full BPTT.
+
+Forward and backward run B videos packed back to back as (R, d) rows, with
+``lengths`` giving their step counts; one video is the B=1 case.
 """
 
 from __future__ import annotations
@@ -101,21 +104,46 @@ class LstmState:
 
 
 class SequenceTrace:
-    """One forward pass's activations, one row per step; the backward pass reads it.
+    """One forward pass's activations, one time-major row per step; the backward pass reads it.
 
-    The (T+1)-row state arrays hold the start state in row 0: ``c``/``r`` view
-    rows 1..T and ``prev_c``/``prev_r`` rows 0..T-1. ``i, f, g, o`` view the
-    (T, 4C) ``gates`` array (``g`` is the tanh block input).
+    Rows run step by step and, within a step, over the videos still running,
+    longest first (a stable sort); ``packed`` is each row's row in the input.
+    ``blocks[t]`` is step t's (first row, video count, first previous-state row).
+    The state arrays hold the B start states in their first B rows: ``c``/``r`` view
+    the rows after them, ``prev_c``/``prev_r`` hold each row's previous state (for B=1,
+    views of rows 0..T-1). ``i, f, g, o`` view ``gates`` (``g`` is the block input).
     """
 
-    def __init__(self, x, states_c, states_r, gates, hc, m, y):
+    def __init__(self, x, states_c, states_r, gates, hc, m, y, layout):
         self.x, self.gates, self.hc, self.m, self.y = x, gates, hc, m, y
-        self.prev_c, self.c = states_c[:-1], states_c[1:]
-        self.prev_r, self.r = states_r[:-1], states_r[1:]
+        self.lengths, self.packed, self.blocks, prev = layout
+        batch = len(self.lengths)
+        self.prev_c, self.c = states_c[prev], states_c[batch:]
+        self.prev_r, self.r = states_r[prev], states_r[batch:]
         self.i, self.f, self.g, self.o = np.split(gates, 4, axis=1)
 
     def __len__(self) -> int:
         return len(self.x)
+
+
+def _layout(lengths, rows: int) -> tuple:
+    """The :class:`SequenceTrace` layout of ``rows`` packed rows: lengths, packed, blocks, prev."""
+    lengths = np.asarray([rows] if lengths is None else lengths)
+    if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or not lengths.size \
+            or lengths.min() < 1 or lengths.sum() != rows:
+        raise ValidationError(f"lengths must be positive step counts summing to {rows} rows")
+    batch = len(lengths)
+    if batch == 1:
+        return lengths, slice(None), [(t, 1, t) for t in range(rows)], slice(0, rows)
+    order = np.argsort(-lengths, kind="stable")
+    steps = np.arange(lengths.max())[:, None]
+    running = steps < lengths[order]  # (T, B): step t of the t-th longest video exists
+    packed = (np.cumsum(lengths)[order] - lengths[order] + steps)[running]
+    active = running.sum(axis=1)
+    first = np.cumsum(active) - active
+    prev = first + batch - np.r_[batch, active[:-1]]  # previous step's block in the state rows
+    return (lengths, packed, list(zip(first.tolist(), active.tolist(), prev.tolist())),
+            np.arange(rows) + np.repeat(prev - first, active))
 
 
 def zero_state(model: LstmModel) -> LstmState:
@@ -147,113 +175,126 @@ def lstm_step(model: LstmModel, x: np.ndarray, state: LstmState) -> tuple[LstmSt
     return LstmState(c=trace.c[0], r=trace.r[0]), logits[0], trace
 
 
-def lstm_forward(model: LstmModel, frames: np.ndarray,
-                 state: LstmState | None = None) -> tuple[np.ndarray, np.ndarray, SequenceTrace]:
-    """Run a sequence from ``state`` (default: zero); returns logits, softmax and the trace.
+def lstm_forward(model: LstmModel, frames: np.ndarray, state: LstmState | None = None, *,
+                 lengths: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray, SequenceTrace]:
+    """Run B packed videos from ``state`` (default: zero); returns logits, softmax and the trace.
 
-    The input product of every step is one matrix product before the time
-    loop; each step then adds one recurrent product and does elementwise work.
+    ``frames`` holds the videos back to back, ``lengths`` their step counts (default: one
+    video); outputs keep that row order, and ``state`` needs B=1. The input product is one
+    matrix product; each step adds one recurrent product over the videos still running.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] != model.input_dim:
         raise ValidationError(f"frames must be a (T>=1, {model.input_dim}) matrix, got {frames.shape}")
+    rows, cells = frames.shape[0], model.num_cells
+    lengths, packed, blocks, _ = layout = _layout(lengths, rows)
+    batch = len(lengths)
+    if state is not None and batch > 1:
+        raise ValidationError("a start state is allowed for one video only")
     start = zero_state(model) if state is None else state
-    steps, cells = frames.shape[0], model.num_cells
     w_x, w_r, bias = _stacked(model)
-    gates = frames @ w_x.T + bias  # pre-activations, activated in place row by row
-    c, r = np.empty((steps + 1, cells)), np.empty((steps + 1, model.proj_dim))
-    c[0], r[0] = start.c, start.r
-    hc, m = np.empty((2, steps, cells))
-    peep_if, w_oc, w_rm = np.stack([model.w_ic, model.w_cf]), model.w_oc, model.w_rm
-    # Iterating row views keeps indexing out of the loop; z is the step's (4, C) gate block.
-    for z, c0, c1, r0, r1, h, mt in zip(gates.reshape(steps, 4, cells), c[:-1], c[1:],
-                                        r[:-1], r[1:], hc, m):
-        z += np.dot(w_r, r0).reshape(4, cells)
-        z[:2] += peep_if * c0
-        z[:2] = sigmoid(z[:2])
-        i, f, g, o = z
+    x = frames[packed]
+    gates = x @ w_x.T + bias  # pre-activations, activated in place block by block
+    c, r = np.empty((batch + rows, cells)), np.empty((batch + rows, model.proj_dim))
+    c[:batch], r[:batch] = start.c, start.r
+    hc, m = np.empty((2, rows, cells))
+    peep_if, w_oc = np.stack([model.w_ic, model.w_cf]), model.w_oc
+    w_r_t, w_rm_t, z_all = w_r.T, model.w_rm.T, gates.reshape(rows, 4, cells)
+    if batch == 1:  # iterating rows is cheaper than slicing blocks of one
+        views = zip(z_all, c[:-1], c[1:], r[:-1], r[1:], hc, m)
+    else:  # a step's rows are (n, .) blocks, its gates (4, n, C) once axes are swapped
+        peep_if = peep_if[:, None]
+        views = ((z_all[a:a + n], c[p:p + n], c[a + batch:a + batch + n], r[p:p + n],
+                  r[a + batch:a + batch + n], hc[a:a + n], m[a:a + n]) for a, n, p in blocks)
+    for z, c0, c1, r0, r1, h, mt in views:
+        z += np.dot(r0, w_r_t).reshape(z.shape)
+        i, f, g, o = gate = z.swapaxes(0, -2)
+        gate[:2] += peep_if * c0
+        gate[:2] = sigmoid(gate[:2])
         np.tanh(g, out=g)
         np.multiply(f, c0, out=c1)
         c1 += i * g
         o[:] = sigmoid(o + w_oc * c1)
         np.tanh(c1, out=h)
         np.multiply(o, h, out=mt)
-        np.dot(w_rm, mt, out=r1)
-    y = r[1:] @ model.w_yr.T + model.b_y
-    return y, softmax(y, axis=1), SequenceTrace(frames, c, r, gates, hc, m, y)
+        np.dot(mt, w_rm_t, out=r1)
+    y = r[batch:] @ model.w_yr.T + model.b_y
+    logits = y if batch == 1 else y[np.argsort(packed)]  # back to the packed order
+    return logits, softmax(logits, axis=1), SequenceTrace(x, c, r, gates, hc, m, y, layout)
 
 
-def weighted_sequence_loss(probs: np.ndarray, label: int, weights: np.ndarray) -> float:
-    """Sum over steps of weight * -log P(label)."""
+def weighted_sequence_loss(probs: np.ndarray, labels, weights: np.ndarray) -> float:
+    """Sum over steps of weight * -log P(label); ``labels`` is one label or one per row."""
     probs = np.asarray(probs)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (probs.shape[0],):
         raise ValidationError(f"weights length {weights.shape} != {probs.shape[0]} steps")
     if weights.size and weights.min() < 0:
         raise ValidationError("weights must be nonnegative")
-    return float(np.sum(weights * -np.log(probs[:, label])))
+    return float(np.sum(weights * -np.log(probs[np.arange(len(probs)), labels])))
 
 
-def lstm_backward(model: LstmModel, trace: SequenceTrace, label: int, weights: np.ndarray,
+def lstm_backward(model: LstmModel, trace: SequenceTrace, labels, weights: np.ndarray,
                   unroll_k: int | None = None) -> dict[str, np.ndarray]:
-    """Gradients of :func:`weighted_sequence_loss` wrt every parameter.
+    """Gradients of :func:`weighted_sequence_loss`, summed over the traced videos.
 
-    ``unroll_k`` truncates error flow: the loss at step t reaches parameters
-    only at steps max(0, t - unroll_k + 1) .. t. ``None`` (or any value >= T)
-    selects plain full BPTT. Each live error source is kept in its own carrier
-    row of a ring of ``unroll_k`` slots, so it retires exactly ``unroll_k``
-    steps after injection. The loop records per-step sums of the gate errors
-    and of the projection error; weight gradients are matrix products after it.
+    ``labels`` is one label or one per video; ``weights`` are packed like the frames.
+    ``unroll_k`` truncates error flow: the loss at step t reaches parameters only at
+    steps max(0, t - unroll_k + 1) .. t. ``None`` (or any value >= the longest video)
+    selects plain full BPTT. Each live error source keeps its own carrier row in a
+    (``unroll_k``, B) ring, so it retires exactly ``unroll_k`` steps after injection.
+    The loop records per-row gate-error and projection-error sums; weight gradients
+    are matrix products after it.
     """
-    steps = len(trace)
-    if steps == 0:
-        raise ValidationError("backward pass needs at least one step")
+    rows, batch = len(trace), len(trace.lengths)
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (steps,):
-        raise ValidationError(f"weights length {weights.shape} != {steps} steps")
+    if weights.shape != (rows,):
+        raise ValidationError(f"weights length {weights.shape} != {rows} steps")
+    if np.shape(labels) not in ((), (batch,)):
+        raise ValidationError(f"labels: expected one or {batch}, got shape {np.shape(labels)}")
 
-    truncate = unroll_k is not None and unroll_k < steps
+    truncate = unroll_k is not None and unroll_k < len(trace.blocks)
     if truncate and unroll_k < 1:
         raise ValidationError("unroll_k must be >= 1")
-    rows = unroll_k if truncate else 1
+    ring = unroll_k if truncate else 1
     cells = model.num_cells
     _, w_r, _ = _stacked(model)
 
-    # Loss error of every step, and what it injects into r_t.
+    # Loss error of every row, and what it injects into r_t.
     dy = softmax(trace.y, axis=1)
-    dy[:, label] -= 1.0
-    dy *= weights[:, None]
+    dy[np.arange(rows), np.repeat(np.broadcast_to(labels, batch), trace.lengths)[trace.packed]] -= 1.0
+    dy *= weights[trace.packed, None]
     inject = dy @ model.w_yr
 
-    # Per-step derivative factors: gate errors are carrier errors times these.
+    # Per-row derivative factors: gate errors are carrier errors times these.
     i, f, g, o, hc = trace.i, trace.f, trace.g, trace.o, trace.hc
     d_o = hc * o * (1.0 - o)                               # ds_o = dm * d_o
     d_cell = o * (1.0 - hc ** 2) + d_o * model.w_oc        # dcell = dc + dm * d_cell
     d_ifg = np.stack([g * i * (1.0 - i), trace.prev_c * f * (1.0 - f), i * (1.0 - g ** 2)], axis=1)
     d_carry = f + d_ifg[:, 0] * model.w_ic + d_ifg[:, 1] * model.w_cf  # dc_{t-1} = dcell * d_carry
 
-    gate_sums = np.empty((steps, 4, cells))
-    dr_sums = np.empty((steps, model.proj_dim))
-    dc, dr = np.zeros((rows, cells)), np.zeros((rows, model.proj_dim))
-    ds = np.empty((rows, 4, cells))  # this step's gate errors, one row per live source
-    ds_ifg, ds_o, ds_rows, w_rm = ds[:, :3], ds[:, 3], ds.reshape(rows, -1), model.w_rm
-    for t in reversed(range(steps)):
-        if truncate:  # slot t % k held the source injected k steps later: it retires
-            slot = t % rows
-            dc[slot] = 0.0
-            dr[slot] = inject[t]
+    gate_sums, dr_sums = np.empty((rows, 4, cells)), np.empty((rows, model.proj_dim))
+    dc, dr = np.zeros((ring, batch, cells)), np.zeros((ring, batch, model.proj_dim))
+    ds = np.empty((ring, batch, 4, cells))  # a step's gate errors, one row per live source
+    for t in reversed(range(len(trace.blocks))):
+        a, n, _ = trace.blocks[t]
+        b, dc_t, dr_t, ds_t = a + n, dc[:, :n], dr[:, :n], ds[:, :n]
+        if truncate:  # slot t % k held the sources injected k steps later: they retire
+            slot = t % ring
+            dc_t[slot] = 0.0
+            dr_t[slot] = inject[a:b]
         else:
-            dr[0] += inject[t]
-        dm = np.dot(dr, w_rm)
-        dcell = dc + dm * d_cell[t]
-        np.multiply(dcell[:, None, :], d_ifg[t], out=ds_ifg)
-        np.multiply(dm, d_o[t], out=ds_o)
-        np.add.reduce(ds, axis=0, out=gate_sums[t])
-        np.add.reduce(dr, axis=0, out=dr_sums[t])
-        dc = dcell * d_carry[t]
-        dr = np.dot(ds_rows, w_r)
+            dr_t[0] += inject[a:b]
+        dm = np.matmul(dr_t, model.w_rm)
+        dcell = dc_t + dm * d_cell[a:b]
+        np.multiply(dcell[:, :, None], d_ifg[a:b], out=ds_t[:, :, :3])
+        np.multiply(dm, d_o[a:b], out=ds_t[:, :, 3])
+        np.add.reduce(ds_t, axis=0, out=gate_sums[a:b])
+        np.add.reduce(dr_t, axis=0, out=dr_sums[a:b])
+        np.multiply(dcell, d_carry[a:b], out=dc_t)
+        np.matmul(ds_t.reshape(ring, n, -1), w_r, out=dr_t)
 
-    sums = gate_sums.reshape(steps, 4 * cells)
+    sums = gate_sums.reshape(rows, 4 * cells)
     s_i, s_f, _, s_o = np.split(sums, 4, axis=1)
     values = [*np.split(sums.T @ trace.x, 4), *np.split(sums.T @ trace.prev_r, 4),
               (s_i * trace.prev_c).sum(axis=0), (s_f * trace.prev_c).sum(axis=0),
@@ -293,10 +334,11 @@ def train_lstm(train_videos: Sequence[VideoSequence], config: LstmTrainConfig, n
     """Seeded mini-batch SGD over videos; returns the model and per-epoch mean losses.
 
     Every video must carry laf_weights (use all-ones for unweighted training).
-    Batches accumulate video gradients in index order and average them; the
-    learning rate is multiplied by lr_decay after each epoch. The first batch
-    whose loss or gradient norm is not finite raises ``ValidationError``
-    naming its (1-based) epoch and batch, before its update is applied.
+    Each mini-batch is one forward and one backward call over its videos, packed
+    in the seeded batch order; its summed gradient is averaged over the videos.
+    The learning rate is multiplied by lr_decay after each epoch. The first batch
+    whose loss or gradient norm is not finite raises ``ValidationError`` naming
+    its (1-based) epoch and batch, before its update is applied.
     """
     if not train_videos:
         raise ValidationError("cannot train on an empty video list")
@@ -315,18 +357,16 @@ def train_lstm(train_videos: Sequence[VideoSequence], config: LstmTrainConfig, n
         order = rng.permutation(count)
         total_loss = 0.0
         for batch_number, start in enumerate(range(0, count, config.batch_size), 1):
-            batch = order[start:start + config.batch_size]
-            grads = {name: np.zeros_like(getattr(model, name)) for name in PARAM_FIELDS}
-            for index in batch:
-                video = train_videos[index]
-                _, probs, trace = lstm_forward(model, video.frames)
-                total_loss += weighted_sequence_loss(probs, video.label, video.laf_weights)
-                video_grads = lstm_backward(model, trace, video.label, video.laf_weights,
-                                            config.unroll_k)
-                for name in PARAM_FIELDS:
-                    grads[name] += video_grads[name]
-            for name in PARAM_FIELDS:
-                grads[name] /= len(batch)
+            batch = [train_videos[index] for index in order[start:start + config.batch_size]]
+            lengths = [video.num_steps for video in batch]
+            labels = [video.label for video in batch]
+            weights = np.concatenate([video.laf_weights for video in batch])
+            frames = np.concatenate([video.frames for video in batch])
+            _, probs, trace = lstm_forward(model, frames, lengths=lengths)
+            total_loss += weighted_sequence_loss(probs, np.repeat(labels, lengths), weights)
+            grads = lstm_backward(model, trace, labels, weights, config.unroll_k)
+            for g in grads.values():
+                g /= len(batch)
             norm = np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values()))
             if not (np.isfinite(total_loss) and np.isfinite(norm)):
                 raise ValidationError(f"training diverged at epoch {epoch + 1}, batch {batch_number}: "

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laf import lstm
 from laf.errors import CorpusFormatError, ValidationError
 from laf.lstm import (PARAM_FIELDS, LstmModel, LstmState, LstmTrainConfig, init_model,
                       load_lstm, lstm_backward, lstm_forward, lstm_step, param_shapes,
@@ -315,6 +316,49 @@ def test_zero_weight_step_is_ignored_by_loss_and_gradients():
         np.testing.assert_array_equal(base_grads[name], tampered_grads[name])
 
 
+@pytest.mark.parametrize("lengths, labels", [
+    ([5, 9, 1, 12, 5, 3], [2, 0, 3, 1, 2, 0]),  # unsorted, with ties and a 1-step video
+    ([6, 6, 6], [1, 3, 1]),  # every step runs every video
+])
+def test_batch_matches_per_video_calls(lengths, labels):
+    # lengths on both sides of unroll_k; some steps weigh zero
+    model = random_model(31, d=3, nc=4, nr=3, nl=4, scale=0.6)
+    rng = np.random.default_rng(31)
+    frames = rng.normal(0, 1, (sum(lengths), 3))
+    weights = rng.uniform(0.1, 1.0, sum(lengths))
+    weights[::4] = 0.0
+    ends = np.cumsum(lengths)
+    videos = [slice(end - length, end) for end, length in zip(ends, lengths)]
+    logits, probs, trace = lstm_forward(model, frames, lengths=lengths)
+    traces = []
+    for rows in videos:
+        one_logits, one_probs, one_trace = lstm_forward(model, frames[rows])
+        np.testing.assert_allclose(logits[rows], one_logits, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(probs[rows], one_probs, rtol=1e-12, atol=0)
+        traces.append(one_trace)
+    for unroll in (None, 1, 4, 9, 12):
+        batched = lstm_backward(model, trace, labels, weights, unroll)
+        summed = {name: np.zeros_like(getattr(model, name)) for name in PARAM_FIELDS}
+        for rows, one_trace, label in zip(videos, traces, labels):
+            for name, grad in lstm_backward(model, one_trace, label, weights[rows], unroll).items():
+                summed[name] += grad
+        for name in PARAM_FIELDS:
+            np.testing.assert_allclose(batched[name], summed[name], rtol=1e-12, atol=1e-15)
+
+
+def test_batch_rejects_bad_lengths_and_states():
+    model = random_model(32)
+    frames = np.zeros((5, 2))
+    for lengths in ([2, 2], [5, 0], [2.0, 3.0], [], [[5]]):
+        with pytest.raises(ValidationError, match="lengths"):
+            lstm_forward(model, frames, lengths=lengths)
+    with pytest.raises(ValidationError, match="one video"):
+        lstm_forward(model, frames, zero_state(model), lengths=[2, 3])
+    _, _, trace = lstm_forward(model, frames, lengths=[2, 3])
+    with pytest.raises(ValidationError, match="labels"):
+        lstm_backward(model, trace, [0, 1, 1], np.ones(5))
+
+
 # --- training ---------------------------------------------------------------
 
 def tiny_training_corpus(seed=0, videos_per_action=30):
@@ -376,6 +420,28 @@ def test_training_is_bitwise_deterministic():
     b, _ = train_lstm(videos, config, corpus.num_labels, corpus.feature_dim)
     for name in PARAM_FIELDS:
         assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_training_makes_one_forward_and_backward_call_per_batch(monkeypatch):
+    # perfbench counts lstm.train_steps from len(frames) of lstm_forward under train_lstm
+    corpus, videos = tiny_training_corpus(videos_per_action=13)  # 26 videos: batches of 12, 12, 2
+    config = small_train_config(epochs=3)
+    forward_rows, backward_calls = [], []
+
+    def counted_forward(model, frames, *args, **kwargs):
+        forward_rows.append(len(frames))
+        return lstm_forward(model, frames, *args, **kwargs)
+
+    def counted_backward(*args, **kwargs):
+        backward_calls.append(1)
+        return lstm_backward(*args, **kwargs)
+
+    monkeypatch.setattr(lstm, "lstm_forward", counted_forward)
+    monkeypatch.setattr(lstm, "lstm_backward", counted_backward)
+    train_lstm(videos, config, corpus.num_labels, corpus.feature_dim)
+    batches = -(-len(videos) // config.batch_size)
+    assert sum(forward_rows) == config.epochs * sum(video.num_steps for video in videos)
+    assert len(forward_rows) == len(backward_calls) == config.epochs * batches
 
 
 def test_training_requires_weights_and_videos():
