@@ -73,7 +73,9 @@ def predict_softmax_many(clf: Classifier, features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != clf.feature_dim:
         raise ValidationError(f"feature matrix shape {features.shape} incompatible with d={clf.feature_dim}")
-    return softmax(features @ clf.weights.T + clf.biases, axis=1)
+    logits = features @ clf.weights.T
+    logits += clf.biases
+    return softmax(logits, axis=1, out=logits)
 
 
 def scores_for_labels(clf: Classifier, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -96,11 +98,16 @@ def cross_entropy_loss(weights: np.ndarray, biases: np.ndarray, features: np.nda
 
 def cross_entropy_gradient(weights: np.ndarray, biases: np.ndarray, features: np.ndarray,
                            labels: np.ndarray, l2_penalty: float) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of :func:`cross_entropy_loss` wrt weights and biases."""
+    """Analytic gradient of :func:`cross_entropy_loss` wrt weights and biases, worked in
+    place with the operations of ``delta.T @ x / n + l2 * W`` in their order."""
     n = len(labels)
-    delta = softmax(features @ weights.T + biases, axis=1)
+    delta = features @ weights.T
+    delta += biases
+    softmax(delta, axis=1, out=delta)
     delta[np.arange(n), labels] -= 1.0
-    grad_w = delta.T @ features / n + l2_penalty * weights
+    grad_w = delta.T @ features
+    grad_w /= n
+    grad_w += l2_penalty * weights
     grad_b = delta.sum(axis=0) / n + l2_penalty * biases
     return grad_w, grad_b
 
@@ -110,9 +117,10 @@ def train_classifier(features: np.ndarray, labels: np.ndarray, num_labels: int,
     """Mini-batch gradient descent from zero-initialized parameters.
 
     Takes an (n, d) feature matrix and n labels. Each epoch shuffles the
-    example order with the seeded generator; batch gradients are averaged, so
-    the learning rate is comparable across batch sizes. Deterministic given
-    data, config, and seed.
+    example order with the seeded generator and gathers the rows in that
+    order once; its batches are consecutive slices of them. Batch gradients
+    are averaged, so the learning rate is comparable across batch sizes.
+    Deterministic given the rows, their order, the config and the seed.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -127,14 +135,18 @@ def train_classifier(features: np.ndarray, labels: np.ndarray, num_labels: int,
     weights = np.zeros((num_labels, dim))
     biases = np.zeros(num_labels)
     rng = np.random.default_rng(config.seed)
+    size, lr = config.batch_size, config.learning_rate
     for _ in range(config.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            grad_w, grad_b = cross_entropy_gradient(weights, biases, features[idx], labels[idx],
+        shuffled, shuffled_labels = features[order], labels[order]
+        for start in range(0, n, size):
+            grad_w, grad_b = cross_entropy_gradient(weights, biases, shuffled[start:start + size],
+                                                    shuffled_labels[start:start + size],
                                                     config.l2_penalty)
-            weights -= config.learning_rate * grad_w
-            biases -= config.learning_rate * grad_b
+            grad_w *= lr  # weights -= lr * grad_w, without the temporary
+            weights -= grad_w
+            grad_b *= lr
+            biases -= grad_b
     return Classifier(weights=weights, biases=biases)
 
 

@@ -305,8 +305,14 @@ def _parse_at_once(lines: list[bytes]) -> DetectionTable:
     """The detections of ``lines`` from one parse of them joined as a JSON array;
     ValueError or KeyError unless each line is one valid detection record."""
     text = b"[" + b",\n".join(lines) + b"]"
-    if text.count(b"{") != len(lines) \
-            or not all(line[:1] == b"{" and line.rstrip(b"\r")[-1:] == b"}" for line in lines):
+    # Lines hold no "\n", so each starts after the "[" or a "\n" of the text and, once
+    # the text's "\r"s are gone, ends before the "]" or a ",\n".
+    raw = np.frombuffer(text, dtype=np.uint8)
+    flat = np.frombuffer(text.replace(b"\r", b""), dtype=np.uint8)
+    firsts = raw[np.r_[0, np.flatnonzero(raw == ord("\n"))] + 1]
+    lasts = flat[np.r_[np.flatnonzero(flat == ord("\n")), len(flat)] - 2]
+    if np.count_nonzero(raw == ord("{")) != len(lines) or (firsts != ord("{")).any() \
+            or (lasts != ord("}")).any():
         raise ValueError("not one flat record per line")
     records = json.loads(text.decode("utf-8"))
     if len(records) != len(lines) or {*map(type, records)} != {dict} \

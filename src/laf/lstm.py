@@ -111,11 +111,12 @@ class SequenceTrace:
     ``blocks[t]`` is step t's (first row, video count, first previous-state row).
     The state arrays hold the B start states in their first B rows: ``c``/``r`` view
     the rows after them, ``prev_c``/``prev_r`` hold each row's previous state (for B=1,
-    views of rows 0..T-1). ``i, f, g, o`` view ``gates`` (``g`` is the block input).
+    views of rows 0..T-1). ``i, f, g, o`` view ``gates`` (``g`` is the block input);
+    ``probs`` holds the output softmax.
     """
 
-    def __init__(self, x, states_c, states_r, gates, hc, m, y, layout):
-        self.x, self.gates, self.hc, self.m, self.y = x, gates, hc, m, y
+    def __init__(self, x, states_c, states_r, gates, hc, m, probs, layout):
+        self.x, self.gates, self.hc, self.m, self.probs = x, gates, hc, m, probs
         self.lengths, self.packed, self.blocks, prev = layout
         batch = len(self.lengths)
         self.prev_c, self.c = states_c[prev], states_c[batch:]
@@ -219,8 +220,9 @@ def lstm_forward(model: LstmModel, frames: np.ndarray, state: LstmState | None =
         np.multiply(o, h, out=mt)
         np.dot(mt, w_rm_t, out=r1)
     y = r[batch:] @ model.w_yr.T + model.b_y
-    logits = y if batch == 1 else y[np.argsort(packed)]  # back to the packed order
-    return logits, softmax(logits, axis=1), SequenceTrace(x, c, r, gates, hc, m, y, layout)
+    probs = softmax(y, axis=1)  # row by row, so it commutes with the reordering below
+    unpack = packed if batch == 1 else np.argsort(packed)  # back to the packed order
+    return y[unpack], probs[unpack], SequenceTrace(x, c, r, gates, hc, m, probs, layout)
 
 
 def weighted_sequence_loss(probs: np.ndarray, labels, weights: np.ndarray) -> float:
@@ -260,8 +262,8 @@ def lstm_backward(model: LstmModel, trace: SequenceTrace, labels, weights: np.nd
     cells = model.num_cells
     _, w_r, _ = _stacked(model)
 
-    # Loss error of every row, and what it injects into r_t.
-    dy = softmax(trace.y, axis=1)
+    # Loss error of every row, from the forward pass's softmax, and what it injects into r_t.
+    dy = trace.probs.copy()
     dy[np.arange(rows), np.repeat(np.broadcast_to(labels, batch), trace.lengths)[trace.packed]] -= 1.0
     dy *= weights[trace.packed, None]
     inject = dy @ model.w_yr

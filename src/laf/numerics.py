@@ -4,17 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 
+TINY = np.finfo(np.float64).tiny
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+
+def softmax(logits: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax with max-logit subtraction; stable for logits up to ~|700|.
 
     Entries are floored at the smallest normal float64: exp underflows to an
     exact 0 once logit gaps pass ~745, and a hard zero would both violate the
-    strictly-positive output contract and produce infinite log losses.
+    strictly-positive output contract and produce infinite log losses. The
+    work happens in one new array, or in ``out``, which may be ``logits``.
     """
-    z = logits - np.max(logits, axis=axis, keepdims=True)
-    e = np.exp(z)
-    return np.maximum(e / np.sum(e, axis=axis, keepdims=True), np.finfo(np.float64).tiny)
+    e = np.subtract(logits, logits.max(axis=axis, keepdims=True), out=out, dtype=np.float64)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return np.maximum(e, TINY, out=e)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

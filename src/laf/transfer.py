@@ -10,6 +10,10 @@ below the best seen so far, or after max_iterations. The image-side
 classifier from the best round becomes the LAF proposal model, and its
 probability for a video's own label at every step of every training video is
 that step's LAF weight.
+
+A side whose pool a filter left whole keeps its classifier (and the frame
+side its accuracy): a fit is deterministic in its rows, their order and the
+seed, so a refit would rebuild that model bit for bit.
 """
 
 from __future__ import annotations
@@ -164,7 +168,8 @@ def run_domain_transfer(corpus: Corpus, config: TransferConfig) -> LafResult:
     frame_labels = np.asarray([videos[v].label for v, _ in frame_set])
     images = np.arange(len(image_labels))
     frames = np.arange(len(frame_labels))
-    frame_model = fit(frame_features, frame_labels)
+    # Each model is refit only once a filter removes part of its pool.
+    frame_model, image_model, accuracy = fit(frame_features, frame_labels), None, None
 
     log: list[TransferIterationLog] = []
     best_accuracy = -np.inf
@@ -179,7 +184,8 @@ def run_domain_transfer(corpus: Corpus, config: TransferConfig) -> LafResult:
         images = images[keep]
         if not images.size:
             raise TransferCollapseError(f"transfer collapsed: image pool empty at iteration {iteration}")
-        image_model = fit(image_features[images], image_labels[images])
+        if image_model is None or max_removed_image is not None:
+            image_model = fit(image_features[images], image_labels[images])
 
         # Images -> frames: prune the frame set with the image-trained model.
         keep, scores = filter_scores(frame_features[frames], frame_labels[frames], image_model,
@@ -191,8 +197,10 @@ def run_domain_transfer(corpus: Corpus, config: TransferConfig) -> LafResult:
 
         # Retrain on the pruned frames: next round's filter and this round's
         # validation model.
-        frame_model = fit(frame_features[frames], frame_labels[frames])
-        accuracy = validation_accuracy(frame_model, corpus.validation_videos)
+        if max_removed_frame is not None:
+            frame_model, accuracy = fit(frame_features[frames], frame_labels[frames]), None
+        if accuracy is None:
+            accuracy = validation_accuracy(frame_model, corpus.validation_videos)
         log.append(TransferIterationLog(
             iteration=iteration,
             size_images=images.size,

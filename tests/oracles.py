@@ -90,3 +90,41 @@ def brute_force_average_precision(detections, ground_truth, ratio):
             true_positives += 1
             ap += true_positives / rank
     return ap / total_gt
+
+
+def reference_train_classifier(features, labels, num_labels, learning_rate, epochs, l2_penalty,
+                               batch_size, seed):
+    """Mini-batch softmax regression written out plainly: each batch is gathered by its
+    indices, and every step allocates its results. Returns (weights, biases)."""
+
+    def softmax(logits):
+        z = logits - np.max(logits, axis=1, keepdims=True)
+        e = np.exp(z)
+        return np.maximum(e / np.sum(e, axis=1, keepdims=True), np.finfo(np.float64).tiny)
+
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = len(labels)
+    weights = np.zeros((num_labels, features.shape[1]))
+    biases = np.zeros(num_labels)
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            x, y = features[idx], labels[idx]
+            delta = softmax(x @ weights.T + biases)
+            delta[np.arange(len(y)), y] -= 1.0
+            grad_w = delta.T @ x / len(y) + l2_penalty * weights
+            grad_b = delta.sum(axis=0) / len(y) + l2_penalty * biases
+            weights -= learning_rate * grad_w
+            biases -= learning_rate * grad_b
+    return weights, biases
+
+
+def line_by_line_brace_check(lines):
+    """Whether each line starts with "{", ends in "}" and "\\r"s alone, and holds the
+    only "{" of its line, checked one line at a time."""
+    text = b"[" + b",\n".join(lines) + b"]"
+    return text.count(b"{") == len(lines) and all(
+        line[:1] == b"{" and line.rstrip(b"\r")[-1:] == b"}" for line in lines)

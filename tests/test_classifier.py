@@ -11,6 +11,8 @@ from laf.classifier import (Classifier, ClassifierTrainConfig, cross_entropy_gra
                             save_classifier, scores_for_labels, train_classifier)
 from laf.errors import CorpusFormatError, ValidationError
 
+from oracles import reference_train_classifier
+
 
 def uniform_classifier(num_labels, dim):
     return Classifier(np.zeros((num_labels, dim)), np.zeros(num_labels))
@@ -155,6 +157,25 @@ def test_training_is_bitwise_deterministic(rng):
     a = train_classifier(features, labels, 2, config)
     b = train_classifier(features, labels, 2, config)
     assert np.array_equal(a.weights, b.weights) and np.array_equal(a.biases, b.biases)
+
+
+@pytest.mark.parametrize("n, dim, num_labels, batch_size, epochs", [
+    (37, 5, 4, 8, 6),    # the last batch is short
+    (9, 3, 3, 1, 4),     # batches of one example
+    (5, 4, 3, 32, 7),    # one batch smaller than batch_size
+    (12, 3, 1, 5, 3),    # one label
+    (10, 3, 4, 4, 0),    # no epoch
+    (64, 16, 8, 32, 5),  # the desk shape
+])
+def test_training_is_bitwise_the_reference(n, dim, num_labels, batch_size, epochs):
+    rng = np.random.default_rng(n * dim + epochs)
+    features, labels = rng.normal(0, 2, (n, dim)), rng.integers(num_labels, size=n)
+    config = ClassifierTrainConfig(learning_rate=0.3, epochs=epochs, l2_penalty=1e-3,
+                                   batch_size=batch_size, seed=n)
+    clf = train_classifier(features, labels, num_labels, config)
+    weights, biases = reference_train_classifier(features, labels, num_labels, 0.3, epochs, 1e-3,
+                                                 batch_size, n)
+    assert clf.weights.tobytes() == weights.tobytes() and clf.biases.tobytes() == biases.tobytes()
 
 
 def test_l2_penalty_shrinks_parameter_norm(rng):

@@ -14,7 +14,7 @@ import laf
 from laf import localization, lstm, pipeline
 from laf.cli import main
 from laf.corpus import Corpus, Interval, VideoSequence, load_corpus, save_corpus
-from laf.errors import ValidationError
+from laf.errors import LafError, ValidationError
 from laf.localization import load_detections, save_detections, Detection
 from laf.lstm import PARAM_FIELDS, load_lstm, train_lstm
 from laf.config import run_config_from_dict
@@ -22,6 +22,7 @@ from laf.experiments import DESK_CONFIG, weighting_trial
 from laf.pipeline import training_videos_for_mode
 
 from conftest import edit_corpus_lines
+from oracles import line_by_line_brace_check
 
 TINY = {
     "seed": 3,
@@ -351,6 +352,57 @@ def test_valid_detections_read_by_the_line_parser(case, config_path, tmp_path, m
     assert run_cli("eval", "--config", config_path, "--detections", str(slow),
                    "--corpus", str(corpus_path), "--out", str(tmp_path / "r.json")) == 0
     assert json.loads((tmp_path / "r.json").read_text())["map_at"]["0.1"] > 0
+
+
+def outcome(load, path):
+    """What ``load`` makes of ``path``: its rows, or its error's type and message."""
+    try:
+        return [*load(path)]
+    except LafError as exc:
+        return type(exc), str(exc)
+
+
+def flat_record_lines(lines: list[bytes]) -> bool:
+    """Whether the one parse's brace check accepts ``lines``."""
+    try:
+        localization._parse_at_once(lines)
+    except ValueError as exc:
+        return str(exc) != "not one flat record per line"
+    return True
+
+
+CR_VARIANTS = [f"{{{RECORD}}}\r", f"{{{RECORD}}}\r\r", f"\r{{{RECORD}}}", f"{{{RECORD}\r}}",
+               f"{{{RECORD}}}\rx", f"{{{RECORD}}}\r}}", f"{{{RECORD}}} ", f" {{{RECORD}}}"]
+
+
+@pytest.mark.parametrize("lines", [*NOT_ONE_RECORD_PER_LINE.values(),
+                                   *(lines for pair in ONLY_THE_LINE_PARSER_READS.values()
+                                     for lines in pair),
+                                   *([f"{{{RECORD}}}", cr] for cr in CR_VARIANTS)])
+def test_one_parse_reads_what_the_line_parser_reads(lines, tmp_path):
+    path = tmp_path / "det.jsonl"
+    path.write_bytes("\n".join(lines).encode() + b"\n")
+    assert outcome(load_detections, path) == outcome(localization.load_detection_lines, path)
+    raw = [line for line in path.read_bytes().split(b"\n") if line.strip()]
+    assert flat_record_lines(raw) == line_by_line_brace_check(raw)
+
+
+def test_brace_check_matches_the_line_by_line_check():
+    rng = np.random.default_rng(5)
+    inner = np.frombuffer(b"{}\r ,x", dtype=np.uint8)
+
+    def line():  # mostly "{...}" with "\r"s after it, with every way to miss the form
+        return b"".join([rng.choice([b"", b"", b"", b" ", b"\r", b"}"]), b"{",
+                         rng.choice(inner, rng.integers(0, 4)).tobytes(),
+                         rng.choice([b"}", b"}", b"", b"{"]),
+                         rng.choice([b"", b"\r", b"\r\r", b" ", b"\rx", b"\r}"])])
+
+    accepted = 0
+    for _ in range(2000):
+        lines = [line() for _ in range(rng.integers(1, 4))]
+        accepted += line_by_line_brace_check(lines)
+        assert flat_record_lines(lines) == line_by_line_brace_check(lines), lines
+    assert 100 < accepted < 1900  # both outcomes are well sampled
 
 
 def test_repeated_localize_and_eval_keep_no_state(config_path, tmp_path):

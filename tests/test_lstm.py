@@ -310,7 +310,7 @@ def test_zero_weight_step_is_ignored_by_loss_and_gradients():
     tampered[1] = [0.99, 0.01]
     assert weighted_sequence_loss(tampered, 0, weights) == base_loss
 
-    trace.y[1] += 5.0  # perturb the zero-weight step's logits
+    trace.probs[1] = [0.99, 0.01]  # perturb the zero-weight step's softmax
     tampered_grads = lstm_backward(model, trace, 0, weights)
     for name in PARAM_FIELDS:
         np.testing.assert_array_equal(base_grads[name], tampered_grads[name])
@@ -344,6 +344,16 @@ def test_batch_matches_per_video_calls(lengths, labels):
                 summed[name] += grad
         for name in PARAM_FIELDS:
             np.testing.assert_allclose(batched[name], summed[name], rtol=1e-12, atol=1e-15)
+
+
+def test_batch_probabilities_are_bitwise_the_softmax_of_its_logits():
+    # the trace keeps the time-major softmax for the backward pass; the caller gets it
+    # back in the packed order of an unsorted batch
+    model = random_model(33, d=3, nc=4, nr=3, nl=5, scale=0.8)
+    frames = np.random.default_rng(33).normal(0, 2, (21, 3))
+    logits, probs, trace = lstm_forward(model, frames, lengths=[4, 9, 1, 7])
+    assert probs.tobytes() == softmax(logits, axis=1).tobytes()
+    assert trace.probs.tobytes() == probs[trace.packed].tobytes()
 
 
 def test_batch_rejects_bad_lengths_and_states():

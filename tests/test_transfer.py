@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from laf import transfer
 from laf.classifier import Classifier, ClassifierTrainConfig, train_classifier
 from laf.errors import TransferCollapseError, ValidationError
 from laf.experiments import experiment_config
@@ -210,6 +211,30 @@ def test_transfer_is_deterministic():
     assert np.array_equal(a.proposal_model.weights, b.proposal_model.weights)
     for vid in a.laf_weights:
         assert np.array_equal(a.laf_weights[vid], b.laf_weights[vid])
+
+
+DESK_LOGS = {  # (size_I, size_V, accuracy, max removed image, max removed frame) per round
+    0: [(164, 161, 0.5625, 0.4770737790142184, 0.4925076862262146),
+        (152, 153, 0.5625, 0.44594502483358256, 0.48571357162796563)]
+       + [(152, 153, 0.5625, None, None)] * 4,
+    1009: [(134, 136, 0.25, 0.4906398107450809, 0.4959254919690723)]
+          + [(134, 136, 0.25, None, None)] * 5,
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DESK_LOGS))
+def test_a_pool_is_refit_only_when_a_filter_changed_it(seed, monkeypatch):
+    fits = []
+    monkeypatch.setattr(transfer, "train_classifier",
+                        lambda features, *args: fits.append(len(features))
+                        or train_classifier(features, *args))
+    config = experiment_config(seed)
+    log = run_domain_transfer(generate_corpus(config.synth), config.transfer).log
+    assert [(e.size_images, e.size_frames, e.validation_accuracy, e.max_removed_image_score,
+             e.max_removed_frame_score) for e in log] == DESK_LOGS[seed]
+    # The starting frame model, then an image and a frame fit in each round that removed some:
+    # 5 and 3 fits where refitting every round made 13.
+    assert fits[1:] == {0: [164, 161, 152, 153], 1009: [134, 136]}[seed]
 
 
 def test_best_iteration_model_is_returned():
