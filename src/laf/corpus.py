@@ -249,18 +249,24 @@ def _video_record(vid: VideoSequence, split: str) -> dict:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus atomically; round-trips bit-exactly through load_corpus."""
+    """Write the corpus atomically; round-trips bit-exactly through load_corpus.
+
+    The payload is streamed block by block (the stacked image features, then
+    each video's frames) into both the digest and the file, never copied whole.
+    """
     videos = [(split, vid) for split in SPLITS for vid in getattr(corpus, f"{split}_videos")]
     records = [_image_record(img) for img in corpus.images] + \
         [_video_record(vid, split) for split, vid in videos]
-    payload = np.concatenate([np.empty((0, corpus.feature_dim))]
-                             + [np.reshape(img.feature, (1, -1)) for img in corpus.images]
-                             + [vid.frames for _, vid in videos], dtype="<f8")
+    images = np.array([img.feature for img in corpus.images], "<f8").reshape(-1, corpus.feature_dim)
+    blocks = [images, *(np.ascontiguousarray(vid.frames, "<f8") for _, vid in videos)]
+    digest = hashlib.sha256()
+    for block in blocks:
+        digest.update(block)
     header = {"format": CORPUS_FORMAT, "version": CORPUS_VERSION, "num_labels": corpus.num_labels,
-              "feature_dim": corpus.feature_dim, "records": len(records), "rows": len(payload),
-              "sha256": hashlib.sha256(payload).hexdigest()}
+              "feature_dim": corpus.feature_dim, "records": len(records),
+              "rows": sum(map(len, blocks)), "sha256": digest.hexdigest()}
     text = "\n".join(json.dumps(rec, separators=(",", ":")) for rec in (header, *records)).encode()
-    atomic_write_bytes(path, text + b" " * (-(len(text) + 1) % 8) + b"\n", payload)
+    atomic_write_bytes(path, text + b" " * (-(len(text) + 1) % 8) + b"\n", *blocks)
 
 
 def with_laf_weights(corpus: Corpus, weights: dict[str, np.ndarray]) -> Corpus:

@@ -241,7 +241,7 @@ def localize_videos(model: LstmModel, videos: Sequence[VideoSequence], config: L
     forward pass per video."""
     tables, fused = [], {}
     for video in videos:
-        _, probs, _ = lstm_forward(model, video.frames)
+        probs = lstm_forward(model, video.frames)[1]  # the logits and trace go at once
         fused[video.id] = classify_video(probs)
         tables.append(localize(video.id, probs, config))
     return DetectionTable.concat(tables), fused

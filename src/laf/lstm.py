@@ -220,9 +220,11 @@ def lstm_forward(model: LstmModel, frames: np.ndarray, state: LstmState | None =
         np.multiply(o, h, out=mt)
         np.dot(mt, w_rm_t, out=r1)
     y = r[batch:] @ model.w_yr.T + model.b_y
-    probs = softmax(y, axis=1)  # row by row, so it commutes with the reordering below
-    unpack = packed if batch == 1 else np.argsort(packed)  # back to the packed order
-    return y[unpack], probs[unpack], SequenceTrace(x, c, r, gates, hc, m, probs, layout)
+    # Back to the packed order: an index array even for B=1, so both outputs are copies.
+    unpack = np.arange(rows) if batch == 1 else np.argsort(packed)
+    logits = y[unpack]
+    probs = softmax(y, axis=1, out=y)  # row by row, so it commutes with the reordering
+    return logits, probs[unpack], SequenceTrace(x, c, r, gates, hc, m, probs, layout)
 
 
 def weighted_sequence_loss(probs: np.ndarray, labels, weights: np.ndarray) -> float:
@@ -364,8 +366,9 @@ def train_lstm(train_videos: Sequence[VideoSequence], config: LstmTrainConfig, n
             labels = [video.label for video in batch]
             weights = np.concatenate([video.laf_weights for video in batch])
             frames = np.concatenate([video.frames for video in batch])
-            _, probs, trace = lstm_forward(model, frames, lengths=lengths)
+            probs, trace = lstm_forward(model, frames, lengths=lengths)[1:]  # logits dropped
             total_loss += weighted_sequence_loss(probs, np.repeat(labels, lengths), weights)
+            del probs  # the trace keeps its own time-major copy for the backward pass
             grads = lstm_backward(model, trace, labels, weights, config.unroll_k)
             for g in grads.values():
                 g /= len(batch)

@@ -105,15 +105,45 @@ def mode_centers(spec: SynthSpec) -> ModeCenters:
     )
 
 
-def _make_video(rng, spec: SynthSpec, centers: ModeCenters, label: int, vid_id: str) -> VideoSequence:
+# Features are drawn into shared row blocks of at most this size, so a corpus is a few
+# large buffers that go back to the OS when freed, not thousands of small heap arrays.
+# A corpus whose upper bound of rows is smaller gets one block of that bound: numpy puts
+# arrays of 4 MB or more on huge pages, which would raise a small corpus's footprint.
+_BLOCK_BYTES = 16 << 20
+
+
+class _RowBlocks:
+    """Hands out consecutive (count, dim) row ranges of shared float64 blocks."""
+
+    def __init__(self, max_rows: int, dim: int):
+        self.block_rows = max(1, min(max_rows, _BLOCK_BYTES // (8 * dim)))
+        self.block, self.used = np.empty((0, dim)), 0
+
+    def take(self, count: int) -> np.ndarray:
+        if self.used + count > len(self.block):
+            self.block = np.empty((max(count, self.block_rows), self.block.shape[1]))
+            self.used = 0
+        self.used += count
+        return self.block[self.used - count:self.used]
+
+
+def _draw_normal(rng, rows: np.ndarray, center: np.ndarray, stddev: float) -> np.ndarray:
+    """``rows`` = rng.normal(center, stddev, rows.shape), drawn in place, bit for bit."""
+    rng.standard_normal(out=rows)
+    rows *= stddev
+    rows += center
+    return rows
+
+
+def _make_video(rng, spec: SynthSpec, centers: ModeCenters, label: int, vid_id: str,
+                blocks: _RowBlocks) -> VideoSequence:
     lo, hi = spec.frames_per_video
     steps = int(rng.integers(lo, hi + 1))
     seg_len = max(1, math.floor(spec.action_segment_fraction * steps))
     start = int(rng.integers(0, steps - seg_len + 1))
     activity = spec.activity_of(label)
-    frames = rng.normal(centers.context[activity], spec.mode_stddev, (steps, spec.feature_dim))
-    frames[start:start + seg_len] = rng.normal(centers.action[label], spec.mode_stddev,
-                                               (seg_len, spec.feature_dim))
+    frames = _draw_normal(rng, blocks.take(steps), centers.context[activity], spec.mode_stddev)
+    _draw_normal(rng, frames[start:start + seg_len], centers.action[label], spec.mode_stddev)
     return VideoSequence(id=vid_id, label=label, frames=frames,
                          gt_segments=(Interval(start, start + seg_len),))
 
@@ -127,10 +157,13 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
         ("validation", spec.validation_videos_per_action),
         ("test", spec.test_videos_per_action),
     )
+    rows_per_label = sum(count for _, count in split_counts) * spec.frames_per_video[1] \
+        + spec.images_per_action
+    blocks = _RowBlocks(spec.num_labels * rows_per_label, spec.feature_dim)
     videos: dict[str, list[VideoSequence]] = {}
     for split, count in split_counts:
         videos[split] = [
-            _make_video(rng, spec, centers, label, f"{split}-{label:03d}-{i:03d}")
+            _make_video(rng, spec, centers, label, f"{split}-{label:03d}-{i:03d}", blocks)
             for label in range(spec.num_labels)
             for i in range(count)
         ]
@@ -141,7 +174,7 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
         for j in range(spec.images_per_action):
             relevant = bool(rng.random() >= spec.image_noise_fraction)
             center = centers.action[label] if relevant else centers.noise[activity]
-            feature = rng.normal(center, spec.mode_stddev, spec.feature_dim)
+            feature = _draw_normal(rng, blocks.take(1)[0], center, spec.mode_stddev)
             images.append(WebImage(id=f"img-{label:03d}-{j:04d}", label=label,
                                    feature=feature, relevant=relevant))
 

@@ -138,8 +138,11 @@ def validation_accuracy(clf: Classifier, validation_videos: Sequence[VideoSequen
 
 
 def laf_scores_for_video(proposal_model: Classifier, video: VideoSequence) -> np.ndarray:
-    """Per-step weights: the model's probability for the video's own label."""
-    return predict_softmax_many(proposal_model, video.frames)[:, video.label]
+    """Per-step weights: the model's probability for the video's own label.
+
+    The column is copied, so the weights do not keep the (T, N) softmax alive.
+    """
+    return predict_softmax_many(proposal_model, video.frames)[:, video.label].copy()
 
 
 def _max_removed(scores: np.ndarray, keep: np.ndarray) -> float | None:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,16 @@ from laf.localization import Detection
 
 # Video ids whose sorted order ("a" < "a\u00e9" < "b") reverses their first appearance.
 MULTI_VIDEO_IDS = ("b", "a\u00e9", "a")
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the peak memory ``tracemalloc`` traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_image(idx, label, feature, relevant=None):

@@ -128,3 +128,47 @@ def line_by_line_brace_check(lines):
     text = b"[" + b",\n".join(lines) + b"]"
     return text.count(b"{") == len(lines) and all(
         line[:1] == b"{" and line.rstrip(b"\r")[-1:] == b"}" for line in lines)
+
+
+def reference_generate_corpus(spec):
+    """The synthetic corpus drawn one array per video and per image with ``rng.normal``.
+
+    Returns ``{"images": [(id, label, feature, relevant)], "train" / "validation" /
+    "test": [(id, label, frames, (start, end))]}``.
+    """
+
+    def directions(rng, count):
+        vecs = rng.standard_normal((count, spec.feature_dim))
+        return vecs / np.linalg.norm(vecs, axis=1, keepdims=True) * spec.mode_separation
+
+    num_labels = spec.num_activities * spec.actions_per_activity
+    rng = np.random.default_rng((spec.seed, 0))
+    action, context, noise = (directions(rng, count) for count in
+                              (num_labels, spec.num_activities, spec.num_activities))
+    rng = np.random.default_rng((spec.seed, 1))
+    corpus = {}
+    for split, count in (("train", spec.train_videos_per_action),
+                         ("validation", spec.validation_videos_per_action),
+                         ("test", spec.test_videos_per_action)):
+        corpus[split] = []
+        for label in range(num_labels):
+            for i in range(count):
+                steps = int(rng.integers(spec.frames_per_video[0], spec.frames_per_video[1] + 1))
+                seg_len = max(1, math.floor(spec.action_segment_fraction * steps))
+                start = int(rng.integers(0, steps - seg_len + 1))
+                activity = label // spec.actions_per_activity
+                frames = rng.normal(context[activity], spec.mode_stddev,
+                                    (steps, spec.feature_dim))
+                frames[start:start + seg_len] = rng.normal(action[label], spec.mode_stddev,
+                                                           (seg_len, spec.feature_dim))
+                corpus[split].append((f"{split}-{label:03d}-{i:03d}", label, frames,
+                                      (start, start + seg_len)))
+    corpus["images"] = []
+    for label in range(num_labels):
+        activity = label // spec.actions_per_activity
+        for j in range(spec.images_per_action):
+            relevant = bool(rng.random() >= spec.image_noise_fraction)
+            center = action[label] if relevant else noise[activity]
+            feature = rng.normal(center, spec.mode_stddev, spec.feature_dim)
+            corpus["images"].append((f"img-{label:03d}-{j:04d}", label, feature, relevant))
+    return corpus

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from laf.corpus import Corpus, Interval, load_corpus, save_corpus, with_laf_weig
 from laf.errors import CorpusFormatError, ValidationError
 
 from conftest import (assert_corpora_equal, corpus_parts, edit_corpus_lines, make_image,
-                      make_video, random_corpus)
+                      make_video, random_corpus, traced_peak)
 
 
 def write_corpus_file(path, records, rows=(), num_labels=1, feature_dim=1):
@@ -291,20 +290,42 @@ def test_loaded_features_are_read_only_views_of_the_file(tmp_path, rng):
     assert isinstance(owner(features[0]), bytes)
 
 
-def test_loading_makes_no_copy_of_the_payload(tmp_path):
+def large_corpus() -> Corpus:
+    """100 videos of 120-199 steps and 200 images, d = 64: a file of over 7 MB."""
     rng = np.random.default_rng(5)
     videos = tuple(make_video(i, i % 4, rng.normal(size=(int(rng.integers(120, 200)), 64)))
                    for i in range(100))
     images = tuple(make_image(i, i % 4, rng.normal(size=64)) for i in range(200))
+    return Corpus(4, 64, images, videos, (), ())
+
+
+def test_loading_makes_no_copy_of_the_payload(tmp_path):
     path = tmp_path / "c.jsonl"
-    save_corpus(Corpus(4, 64, images, videos, (), ()), path)
+    save_corpus(large_corpus(), path)
     size = path.stat().st_size
     assert size > 7e6
-    tracemalloc.start()
-    try:
-        loaded = load_corpus(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    loaded, peak = traced_peak(lambda: load_corpus(path))
     assert len(loaded.train_videos) == 100
     assert peak < 1.5 * size, (peak, size)
+
+
+def test_saving_makes_no_copy_of_the_payload(tmp_path):
+    corpus, path = large_corpus(), tmp_path / "c.jsonl"
+    _, peak = traced_peak(lambda: save_corpus(corpus, path))
+    size = path.stat().st_size
+    assert size > 7e6
+    assert peak < 0.1 * size, (peak, size)  # a concatenated payload alone is ~size
+
+    # the bytes of a save that builds the payload in one piece
+    payload = np.concatenate([np.stack([img.feature for img in corpus.images])]
+                             + [vid.frames for vid in corpus.train_videos], dtype="<f8")
+    lines = [json.dumps({"format": "laf-corpus", "version": 2, "num_labels": 4, "feature_dim": 64,
+                         "records": 300, "rows": len(payload),
+                         "sha256": hashlib.sha256(payload).hexdigest()}, separators=(",", ":"))]
+    lines += [json.dumps({"kind": "image", "id": img.id, "label": img.label},
+                         separators=(",", ":")) for img in corpus.images]
+    lines += [json.dumps({"kind": "video", "split": "train", "id": vid.id, "label": vid.label,
+                          "steps": vid.num_steps}, separators=(",", ":"))
+              for vid in corpus.train_videos]
+    text = "\n".join(lines).encode()
+    assert path.read_bytes() == text + b" " * (-(len(text) + 1) % 8) + b"\n" + payload.tobytes()

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from laf.localization import (Detection, DetectionTable, LocalizationConfig, cla
 from laf.lstm import LstmTrainConfig, lstm_forward, train_lstm
 from laf.synth import SynthSpec, generate_corpus
 
-from conftest import multi_video_detections
+from conftest import multi_video_detections, traced_peak
 from oracles import brute_force_nms
 
 
@@ -103,12 +102,7 @@ def test_window_means_are_bitwise_the_per_slice_means(steps, labels, window_len,
 
 def test_window_means_allocate_no_window_copy():
     probs = np.random.default_rng(2).dirichlet(np.ones(240), size=1000)
-    tracemalloc.start()
-    try:
-        sliding_window_scores(probs, window_len=10, window_stride=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: sliding_window_scores(probs, window_len=10, window_stride=1))
     # the (991, 240) means are 1.9 MB; a copied (991, 240, 10) window array is 19 MB
     assert peak < 4e6
 
@@ -208,12 +202,8 @@ def test_localize_matches_brute_force_nms_on_every_label():
 
 def test_nms_neighbour_graph_memory_is_banded():
     probs = np.random.default_rng(5).random((100_000, 2))
-    tracemalloc.start()
-    try:
-        kept = localize("v", probs, LocalizationConfig(window_len=10, nms_overlap=0.5))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    kept, peak = traced_peak(
+        lambda: localize("v", probs, LocalizationConfig(window_len=10, nms_overlap=0.5)))
     # W = 99,991 windows: a W x W boolean matrix alone would take 10 GB; the band
     # graph holds at most 18 neighbours per window
     assert peak < 64e6

@@ -356,6 +356,30 @@ def test_batch_probabilities_are_bitwise_the_softmax_of_its_logits():
     assert trace.probs.tobytes() == probs[trace.packed].tobytes()
 
 
+@pytest.mark.parametrize("lengths", [None, [4, 9, 1, 7]])
+def test_outputs_and_trace_share_no_memory(lengths):
+    model = random_model(34, d=3, nc=4, nr=3, nl=5, scale=0.8)
+    frames = np.random.default_rng(34).normal(0, 2, (21, 3))
+    logits, probs, trace = lstm_forward(model, frames, lengths=lengths)
+    kept = trace.probs.copy()
+    logits[:] = -1.0
+    probs[:] = -1.0
+    assert np.array_equal(trace.probs, kept)
+    logits, probs, trace = lstm_forward(model, frames, lengths=lengths)
+    kept = logits.copy(), probs.copy()
+    trace.probs[:] = -1.0
+    assert np.array_equal(logits, kept[0]) and np.array_equal(probs, kept[1])
+
+
+def test_single_video_outputs_are_the_softmax_of_the_output_layer():
+    # B=1 inference: the logits of the traced projections and their softmax, bit for bit
+    model = random_model(35, d=3, nc=4, nr=3, nl=5, scale=0.8)
+    logits, probs, trace = lstm_forward(model, np.random.default_rng(35).normal(0, 2, (13, 3)))
+    expected = trace.r @ model.w_yr.T + model.b_y
+    assert logits.tobytes() == expected.tobytes()
+    assert probs.tobytes() == softmax(expected, axis=1).tobytes() == trace.probs.tobytes()
+
+
 def test_batch_rejects_bad_lengths_and_states():
     model = random_model(32)
     frames = np.zeros((5, 2))

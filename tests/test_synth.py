@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from laf.classifier import ClassifierTrainConfig, predict_softmax_many, train_classifier
+from laf import synth
+from laf.corpus import Interval
 from laf.errors import ValidationError
+from laf.experiments import experiment_config
 from laf.synth import SynthSpec, corpus_stats, generate_corpus, image_pool_purity, mode_centers
+
+from oracles import reference_generate_corpus
 
 SMALL = SynthSpec(num_activities=2, actions_per_activity=2, feature_dim=6,
                   train_videos_per_action=3, validation_videos_per_action=1,
@@ -20,6 +25,36 @@ def test_generation_is_deterministic():
     assert all(np.array_equal(x.frames, y.frames)
                for x, y in zip(a.train_videos, b.train_videos))
     assert [v.gt_segments for v in a.all_videos] == [v.gt_segments for v in b.all_videos]
+
+
+def assert_matches_reference(spec):
+    corpus, reference = generate_corpus(spec), reference_generate_corpus(spec)
+    assert [(img.id, img.label, img.relevant) for img in corpus.images] == \
+        [(id_, label, relevant) for id_, label, _, relevant in reference["images"]]
+    assert all(img.feature.tobytes() == feature.tobytes()
+               for img, (_, _, feature, _) in zip(corpus.images, reference["images"]))
+    for split in ("train", "validation", "test"):
+        videos = getattr(corpus, f"{split}_videos")
+        assert [(v.id, v.label, v.gt_segments) for v in videos] == \
+            [(id_, label, (Interval(*segment),)) for id_, label, _, segment in reference[split]]
+        assert all(v.frames.tobytes() == frames.tobytes()
+                   for v, (_, _, frames, _) in zip(videos, reference[split]))
+    return corpus
+
+
+@pytest.mark.parametrize("spec", [experiment_config(0).synth, experiment_config(1009).synth,
+                                  dataclasses.replace(SMALL, mode_stddev=1.7)],
+                         ids=["desk-seed0", "desk-seed1009", "stddev1.7"])
+def test_generation_matches_the_per_video_reference(spec):
+    assert_matches_reference(spec)
+
+
+def test_generation_across_row_blocks_matches_the_reference(monkeypatch):
+    monkeypatch.setattr(synth, "_BLOCK_BYTES", 8 * SMALL.feature_dim * 25)  # 25 rows a block
+    corpus = assert_matches_reference(SMALL)
+    blocks = {id(v.frames.base) for v in corpus.all_videos} | \
+        {id(img.feature.base) for img in corpus.images}
+    assert len(blocks) > 9  # 232 to 328 rows, 25 to a block
 
 
 def test_different_seed_changes_data():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from laf import transfer
-from laf.classifier import Classifier, ClassifierTrainConfig, train_classifier
+from laf.classifier import (Classifier, ClassifierTrainConfig, predict_softmax_many,
+                            train_classifier)
 from laf.errors import TransferCollapseError, ValidationError
 from laf.experiments import experiment_config
 from laf.synth import SynthSpec, generate_corpus, image_pool_purity
@@ -151,6 +152,17 @@ def test_laf_scores_lie_in_open_unit_interval(rng):
     video = make_video(0, 2, rng.normal(0, 1, (7, 4)))
     scores = laf_scores_for_video(clf, video)
     assert np.all(scores > 0) and np.all(scores < 1)
+
+
+def test_laf_scores_own_their_data(rng):
+    # a view of the own-label column would keep the whole (T, N) softmax alive
+    clf = Classifier(rng.normal(0, 1, (5, 4)), rng.normal(0, 1, 5))
+    video = make_video(0, 3, rng.normal(0, 1, (9, 4)))
+    scores = laf_scores_for_video(clf, video)
+    assert scores.base is None
+    assert np.array_equal(scores, predict_softmax_many(clf, video.frames)[:, 3])
+    result = run_domain_transfer(small_corpus(), transfer_config(max_iterations=1))
+    assert all(weights.base is None for weights in result.laf_weights.values())
 
 
 # --- the transfer loop ------------------------------------------------------
