@@ -24,6 +24,7 @@ from . import pipeline
 from .config import RunConfig, TRAIN_MODES, apply_global_seed, load_run_config
 from .errors import LafError
 from .evaluation import format_report_table
+from .synth import corpus_stats
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -51,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the sequence detector")
     _add_common(p)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--mode", choices=TRAIN_MODES, default="laf")
+    p.add_argument("--mode", choices=TRAIN_MODES, help="training mode (default: config train_mode)")
     p.add_argument("--out", required=True, help="model checkpoint output path")
     p.add_argument("--loss-out", help="loss curve JSON (default: <out>.losses.json)")
 
@@ -92,24 +93,24 @@ def _default(path: str | None, base: str, suffix: str) -> str:
 def run(args: argparse.Namespace) -> None:
     config = _load_config(args)
     if args.command == "synth":
-        stats = pipeline.stage_synth(config, args.out, args.modes_out)
-        print(json.dumps(stats, indent=2))
+        corpus = pipeline.stage_synth(config, args.out, args.modes_out)
+        print(json.dumps(corpus_stats(corpus), indent=2))
     elif args.command == "transfer":
-        log = pipeline.stage_transfer(config, args.corpus, args.out,
-                                      _default(args.model_out, args.out, ".model.json"),
-                                      _default(args.log_out, args.out, ".log.json"))
+        _, log = pipeline.stage_transfer(config, args.corpus, args.out,
+                                         _default(args.model_out, args.out, ".model.json"),
+                                         _default(args.log_out, args.out, ".log.json"))
         for entry in log:
             print(f"iteration {entry['iteration']}: |I|={entry['size_I']} |V|={entry['size_V']} "
                   f"validation accuracy {entry['validation_accuracy']:.4f}")
     elif args.command == "train":
-        losses = pipeline.stage_train(config, args.corpus, args.mode, args.out,
-                                      _default(args.loss_out, args.out, ".losses.json"))
+        _, losses = pipeline.stage_train(config, args.corpus, args.mode, args.out,
+                                         _default(args.loss_out, args.out, ".losses.json"))
         if losses:
             print(f"trained {len(losses)} epochs, loss {losses[0]:.4f} -> {losses[-1]:.4f}")
     elif args.command == "localize":
-        count = pipeline.stage_localize(config, args.checkpoint, args.corpus, args.out,
-                                        _default(args.scores_out, args.out, ".scores.json"))
-        print(f"wrote {count} detections to {args.out}")
+        detections, _ = pipeline.stage_localize(config, args.checkpoint, args.corpus, args.out,
+                                                _default(args.scores_out, args.out, ".scores.json"))
+        print(f"wrote {len(detections)} detections to {args.out}")
     elif args.command == "eval":
         report = pipeline.stage_eval(config, args.detections, args.corpus, args.out, args.scores)
         print(format_report_table(report))

@@ -28,22 +28,6 @@ TRAIN_MODES = ("laf", "uniform", "random30")
 
 
 @dataclass(frozen=True)
-class PipelinePaths:
-    """Relative artifact names used by the pipeline command."""
-
-    corpus: str = "corpus.bin"
-    mode_centers: str = "mode_centers.json"
-    annotated_corpus: str = "corpus.laf.bin"
-    proposal_model: str = "proposal_model.json"
-    transfer_log: str = "transfer_log.json"
-    lstm_model: str = "lstm_model.json"
-    loss_curve: str = "loss_curve.json"
-    detections: str = "detections.jsonl"
-    video_scores: str = "video_scores.json"
-    report: str = "report.json"
-
-
-@dataclass(frozen=True)
 class RunConfig:
     seed: int | None = None
     train_mode: str = "laf"
@@ -52,7 +36,6 @@ class RunConfig:
     lstm: LstmTrainConfig = field(default_factory=LstmTrainConfig)
     localization: LocalizationConfig = field(default_factory=LocalizationConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
-    paths: PipelinePaths = field(default_factory=PipelinePaths)
 
     def __post_init__(self):
         if self.seed is not None and self.seed < 0:

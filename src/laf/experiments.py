@@ -9,14 +9,12 @@ fail on label/weight flow rather than on raw feature difficulty.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 from .config import RunConfig, apply_global_seed, load_run_config
-from .corpus import with_laf_weights
-from .evaluation import EvalConfig, evaluate
-from .localization import localize_videos
-from .lstm import train_lstm
-from .pipeline import training_videos_for_mode
+from .evaluation import EvalConfig
+from .pipeline import stage_eval, stage_localize, stage_synth, stage_train, stage_transfer
 from .synth import generate_corpus, image_pool_purity
 from .transfer import run_domain_transfer
 
@@ -45,21 +43,19 @@ def weighting_trial(seed: int, modes: tuple[str, ...] = ("laf", "uniform", "rand
     """Train one detector per weighting mode on a shared corpus; report mAP.
 
     The corpus, transfer output, and model initialization are identical across
-    modes, so the step weights are the only difference. Each mode is scored by
-    :func:`laf.evaluation.evaluate`, as ``laf eval`` scores it.
+    modes, so the step weights are the only difference. Each mode runs the
+    stages of ``laf pipeline`` in memory, so its mAP is the one ``laf eval``
+    reports.
     """
     eval_config = EvalConfig(hit_ks=(1,), overlap_ratios=(map_ratio,))  # checks the ratio first
-    config = experiment_config(seed)
-    corpus = generate_corpus(config.synth)
-    result = run_domain_transfer(corpus, config.transfer)
-    annotated = with_laf_weights(corpus, result.laf_weights)
+    config = dataclasses.replace(experiment_config(seed), eval=eval_config)
+    corpus, _ = stage_transfer(config, stage_synth(config))
 
     scores: dict[str, float] = {}
     for mode in modes:
-        videos = training_videos_for_mode(annotated, mode, config.lstm.seed)
-        model, _ = train_lstm(videos, config.lstm, annotated.num_labels, annotated.feature_dim)
-        detections, fused = localize_videos(model, annotated.test_videos, config.localization)
-        report = evaluate(detections, annotated.test_videos, eval_config, annotated.num_labels, fused)
+        model, _ = stage_train(config, corpus, mode)
+        detections, fused = stage_localize(config, model, corpus)
+        report = stage_eval(config, detections, corpus, scores=fused)
         (scores[mode],) = report["map_at"].values()
     return scores
 

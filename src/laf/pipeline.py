@@ -1,8 +1,10 @@
-"""File-to-file pipeline stages behind the CLI subcommands.
+"""The five pipeline stages: synth -> transfer -> train -> localize -> eval.
 
-Each stage reads and writes artifacts on disk so runs are composable and
-individually inspectable: synth -> transfer -> train -> localize -> eval.
-All writes are atomic (temp file + rename).
+Each stage takes its inputs either as objects or as the files that hold them,
+writes its artifacts only where an output path is given, and returns its
+outputs. ``laf pipeline`` chains the stages in memory and writes every
+artifact without reading one back; the CLI subcommands chain them through
+files. All writes are atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -18,33 +20,49 @@ from .corpus import Corpus, load_corpus, save_corpus, with_laf_weights
 from .errors import ValidationError
 from .evaluation import evaluate
 from .ioutil import atomic_write_json, json_floats, read_json_object
-from .localization import load_detections, localize_videos, save_detections
-from .lstm import load_lstm, save_lstm, train_lstm
-from .synth import corpus_stats, generate_corpus, mode_centers
+from .localization import DetectionTable, load_detections, localize_videos, save_detections
+from .lstm import LstmModel, load_lstm, save_lstm, train_lstm
+from .synth import generate_corpus, mode_centers
 from .transfer import run_domain_transfer
 
+Source = str | Path  # a stage input given as the file that holds it
 
-def stage_synth(config: RunConfig, out_corpus: str | Path,
-                out_modes: str | Path | None = None) -> dict:
-    """Generate and write a synthetic corpus; returns its stats report."""
+
+def _read(value, load):
+    """``value`` itself, or what ``load`` reads from it when it is a path."""
+    return load(value) if isinstance(value, (str, Path)) else value
+
+
+def _load_scores(path: Source) -> dict[str, np.ndarray]:
+    return {vid: json_floats(vec, f"{path}: scores of {vid!r}")
+            for vid, vec in read_json_object(path).items()}
+
+
+def stage_synth(config: RunConfig, out_corpus: Source | None = None,
+                out_modes: Source | None = None) -> Corpus:
     corpus = generate_corpus(config.synth)
-    save_corpus(corpus, out_corpus)
+    if out_corpus is not None:
+        save_corpus(corpus, out_corpus)
     if out_modes is not None:
         atomic_write_json(out_modes, mode_centers(config.synth).to_json())
-    return corpus_stats(corpus)
+    return corpus
 
 
-def stage_transfer(config: RunConfig, corpus_path: str | Path, out_corpus: str | Path,
-                   out_model: str | Path, out_log: str | Path) -> list[dict]:
-    """Run domain transfer, annotate the corpus with LAF weights, save artifacts."""
-    corpus = load_corpus(corpus_path)
+def stage_transfer(config: RunConfig, corpus: Corpus | Source, out_corpus: Source | None = None,
+                   out_model: Source | None = None, out_log: Source | None = None
+                   ) -> tuple[Corpus, list[dict]]:
+    """Run domain transfer; returns the corpus with LAF weights and the per-round log."""
+    corpus = _read(corpus, load_corpus)
     result = run_domain_transfer(corpus, config.transfer)
     annotated = with_laf_weights(corpus, result.laf_weights)
-    save_corpus(annotated, out_corpus)
-    save_classifier(result.proposal_model, out_model)
     log = [entry.to_json() for entry in result.log]
-    atomic_write_json(out_log, log)
-    return log
+    if out_corpus is not None:
+        save_corpus(annotated, out_corpus)
+    if out_model is not None:
+        save_classifier(result.proposal_model, out_model)
+    if out_log is not None:
+        atomic_write_json(out_log, log)
+    return annotated, log
 
 
 def training_videos_for_mode(corpus: Corpus, mode: str, seed: int) -> list:
@@ -71,63 +89,63 @@ def training_videos_for_mode(corpus: Corpus, mode: str, seed: int) -> list:
     raise ValidationError(f"unknown train mode {mode!r}")
 
 
-def stage_train(config: RunConfig, corpus_path: str | Path, mode: str,
-                out_model: str | Path, out_losses: str | Path | None = None) -> list[float]:
-    corpus = load_corpus(corpus_path)
+def stage_train(config: RunConfig, corpus: Corpus | Source, mode: str | None = None,
+                out_model: Source | None = None, out_losses: Source | None = None
+                ) -> tuple[LstmModel, list[float]]:
+    """Train the detector in ``mode`` (default: the config's ``train_mode``)."""
+    corpus = _read(corpus, load_corpus)
+    mode = mode or config.train_mode
     videos = training_videos_for_mode(corpus, mode, config.lstm.seed)
     model, losses = train_lstm(videos, config.lstm, corpus.num_labels, corpus.feature_dim)
-    save_lstm(model, out_model)
+    if out_model is not None:
+        save_lstm(model, out_model)
     if out_losses is not None:
         atomic_write_json(out_losses, {"mode": mode, "epoch_losses": losses})
-    return losses
+    return model, losses
 
 
-def stage_localize(config: RunConfig, checkpoint_path: str | Path, corpus_path: str | Path,
-                   out_detections: str | Path, out_scores: str | Path | None = None) -> int:
-    """Detect on every test video; optionally save average-fusion score vectors."""
-    corpus = load_corpus(corpus_path)
-    model = load_lstm(checkpoint_path)
+def stage_localize(config: RunConfig, model: LstmModel | Source, corpus: Corpus | Source,
+                   out_detections: Source | None = None, out_scores: Source | None = None
+                   ) -> tuple[DetectionTable, dict[str, np.ndarray]]:
+    """Detections on every test video and their average-fusion score vectors."""
+    corpus = _read(corpus, load_corpus)
+    model = _read(model, load_lstm)
     if model.input_dim != corpus.feature_dim or model.num_labels != corpus.num_labels:
         raise ValidationError(f"checkpoint dims (d={model.input_dim}, N={model.num_labels}) do not "
                               f"match corpus (d={corpus.feature_dim}, N={corpus.num_labels})")
     detections, fused = localize_videos(model, corpus.test_videos, config.localization)
-    save_detections(detections, out_detections)
+    if out_detections is not None:
+        save_detections(detections, out_detections)
     if out_scores is not None:
         atomic_write_json(out_scores, {video_id: vec.tolist() for video_id, vec in fused.items()})
-    return len(detections)
+    return detections, fused
 
 
-def stage_eval(config: RunConfig, detections_path: str | Path, corpus_path: str | Path,
-               out_report: str | Path, scores_path: str | Path | None = None) -> dict:
-    corpus = load_corpus(corpus_path)
-    detections = load_detections(detections_path)
-    video_scores = None
-    if scores_path is not None:
-        video_scores = {vid: json_floats(vec, f"{scores_path}: scores of {vid!r}")
-                        for vid, vec in read_json_object(scores_path).items()}
+def stage_eval(config: RunConfig, detections: DetectionTable | Source, corpus: Corpus | Source,
+               out_report: Source | None = None,
+               scores: dict[str, np.ndarray] | Source | None = None) -> dict:
+    """The report; Hit@k falls back to max detection scores when ``scores`` is None."""
+    corpus = _read(corpus, load_corpus)
+    detections = _read(detections, load_detections)
     report = evaluate(detections, corpus.test_videos, config.eval, corpus.num_labels,
-                      video_scores=video_scores)
-    atomic_write_json(out_report, report)
+                      video_scores=_read(scores, _load_scores))
+    if out_report is not None:
+        atomic_write_json(out_report, report)
     return report
 
 
-def run_pipeline(config: RunConfig, out_dir: str | Path, mode: str | None = None) -> dict:
-    """Chain all five stages inside ``out_dir`` using the configured file names."""
+def run_pipeline(config: RunConfig, out_dir: Source, mode: str | None = None) -> dict:
+    """Chain the five stages in memory, writing every artifact under fixed names in ``out_dir``."""
     top_k = max(config.eval.hit_ks)
     if top_k > config.synth.num_labels:  # fail before any stage runs, not after training
         raise ValidationError(f"eval.hit_ks asks for k={top_k}, but the synth corpus has only "
                               f"{config.synth.num_labels} labels")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = config.paths
-    mode = mode or config.train_mode
-
-    stage_synth(config, out / paths.corpus, out / paths.mode_centers)
-    stage_transfer(config, out / paths.corpus, out / paths.annotated_corpus,
-                   out / paths.proposal_model, out / paths.transfer_log)
-    stage_train(config, out / paths.annotated_corpus, mode, out / paths.lstm_model,
-                out / paths.loss_curve)
-    stage_localize(config, out / paths.lstm_model, out / paths.annotated_corpus,
-                   out / paths.detections, out / paths.video_scores)
-    return stage_eval(config, out / paths.detections, out / paths.annotated_corpus,
-                      out / paths.report, out / paths.video_scores)
+    corpus = stage_synth(config, out / "corpus.bin", out / "mode_centers.json")
+    corpus, _ = stage_transfer(config, corpus, out / "corpus.laf.bin",
+                               out / "proposal_model.json", out / "transfer_log.json")
+    model, _ = stage_train(config, corpus, mode, out / "lstm_model.json", out / "loss_curve.json")
+    detections, fused = stage_localize(config, model, corpus, out / "detections.jsonl",
+                                       out / "video_scores.json")
+    return stage_eval(config, detections, corpus, out / "report.json", fused)

@@ -627,6 +627,60 @@ def test_pipeline_end_to_end_reproducible(config_path, tmp_path):
         assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
 
 
+def test_pipeline_writes_what_the_subcommand_chain_writes(config_path, tmp_path):
+    run_a, run_b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("pipeline", "--config", config_path, "--out-dir", str(run_a)) == 0
+    run_b.mkdir()
+    common = ("--config", config_path)
+    for argv in (
+        ("synth", "--out", "corpus.bin", "--modes-out", "mode_centers.json"),
+        ("transfer", "--corpus", "corpus.bin", "--out", "corpus.laf.bin",
+         "--model-out", "proposal_model.json", "--log-out", "transfer_log.json"),
+        ("train", "--corpus", "corpus.laf.bin", "--out", "lstm_model.json",
+         "--loss-out", "loss_curve.json"),
+        ("localize", "--checkpoint", "lstm_model.json", "--corpus", "corpus.laf.bin",
+         "--out", "detections.jsonl", "--scores-out", "video_scores.json"),
+        ("eval", "--detections", "detections.jsonl", "--corpus", "corpus.laf.bin",
+         "--scores", "video_scores.json", "--out", "report.json"),
+    ):
+        command, *args = argv  # every argument after a flag is a file name in run_b
+        args = [arg if arg.startswith("--") else str(run_b / arg) for arg in args]
+        assert run_cli(command, *common, *args) == 0, command
+    names = sorted(p.name for p in run_a.iterdir())
+    assert len(names) == 10 and names == sorted(p.name for p in run_b.iterdir())
+    for name in names:
+        assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
+
+
+def test_pipeline_reads_no_artifact_back(config_path, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline read an artifact back")
+
+    for name in ("load_corpus", "load_lstm", "load_detections", "read_json_object"):
+        monkeypatch.setattr(pipeline, name, refuse)
+    assert run_cli("pipeline", "--config", config_path, "--out-dir", str(tmp_path / "run")) == 0
+    assert len(list((tmp_path / "run").iterdir())) == 10
+
+
+def test_config_paths_key_is_rejected(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**TINY, "paths": {"report": "../x.json"}}))
+    out_dir = tmp_path / "run"
+    line = assert_one_error_line(["pipeline", "--config", str(path), "--out-dir", str(out_dir)])
+    assert line == "error: unknown config key: paths"
+    assert not out_dir.exists() and not (tmp_path / "x.json").exists()
+
+
+def test_train_mode_defaults_to_the_config(config_path, tmp_path):
+    corpus_path = synth(config_path, tmp_path)  # no transfer, so no LAF weights
+    path = tmp_path / "uniform.json"
+    path.write_text(json.dumps({**TINY, "train_mode": "uniform"}))
+    out = tmp_path / "m.json"
+    assert run_cli("train", "--config", str(path), "--corpus", str(corpus_path),
+                   "--out", str(out)) == 0
+    assert json.loads((tmp_path / "m.json.losses.json").read_text())["mode"] == "uniform"
+
+
 def test_seed_flag_changes_outputs(config_path, tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
@@ -643,6 +697,6 @@ def test_pipeline_and_weighting_trial_compute_one_map(tmp_path):
 
 
 def test_weighting_trial_checks_the_ratio_before_any_work(monkeypatch):
-    monkeypatch.setattr("laf.experiments.generate_corpus", None)  # fails if it is reached
+    monkeypatch.setattr("laf.experiments.stage_synth", None)  # fails if it is reached
     with pytest.raises(ValidationError, match="overlap ratios"):
         weighting_trial(0, map_ratio=0.0)
