@@ -15,6 +15,7 @@ and reports localization mAP at the chosen temporal overlap ratio.
 
 import argparse
 
+from laf.config import TRAIN_MODES
 from laf.experiments import summarize_weighting, weighting_trial
 
 
@@ -23,19 +24,20 @@ def main():
     parser.add_argument("--seeds", type=int, default=5, help="number of seeded trials")
     parser.add_argument("--ratio", type=float, default=0.5, help="temporal overlap ratio")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
     if not 0.0 < args.ratio <= 1.0:
         parser.error(f"--ratio must lie in (0, 1], got {args.ratio:g}")
 
-    modes = ("laf", "uniform", "random30")
     print(f"mAP@{args.ratio:g} per seed")
-    print("seed  " + "  ".join(f"{mode:>9}" for mode in modes))
+    print("seed  " + "  ".join(f"{mode:>9}" for mode in TRAIN_MODES))
     trials = []
     for seed in range(args.seeds):
-        scores = weighting_trial(seed, modes=modes, map_ratio=args.ratio)
+        scores = weighting_trial(seed, map_ratio=args.ratio)
         trials.append(scores)
-        print(f"{seed:>4}  " + "  ".join(f"{scores[mode]:9.3f}" for mode in modes))
+        print(f"{seed:>4}  " + "  ".join(f"{scores[mode]:9.3f}" for mode in TRAIN_MODES))
     summary = summarize_weighting(trials)
-    print("mean  " + "  ".join(f"{summary[mode]:9.3f}" for mode in modes))
+    print("mean  " + "  ".join(f"{summary[mode]:9.3f}" for mode in TRAIN_MODES))
     print(f"laf beat both baselines in {summary['laf_wins']}/{args.seeds} trials")
 
 

@@ -43,10 +43,6 @@ class RunConfig:
         if self.train_mode not in TRAIN_MODES:
             raise ConfigError(f"train_mode must be one of {TRAIN_MODES}, got {self.train_mode!r}")
 
-    @property
-    def classifier(self) -> ClassifierTrainConfig:
-        return self.transfer.classifier_config
-
 
 def _coerce(value, annotation, path: str):
     origin = typing.get_origin(annotation)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
-from .config import RunConfig, apply_global_seed, load_run_config
+from .config import TRAIN_MODES, RunConfig, apply_global_seed, load_run_config
 from .evaluation import EvalConfig
 from .pipeline import stage_eval, stage_localize, stage_synth, stage_train, stage_transfer
 from .synth import generate_corpus, image_pool_purity
@@ -38,7 +38,7 @@ def purity_trial(seed: int) -> tuple[float, float]:
     return image_pool_purity(corpus.images), image_pool_purity(result.image_pool)
 
 
-def weighting_trial(seed: int, modes: tuple[str, ...] = ("laf", "uniform", "random30"),
+def weighting_trial(seed: int, modes: tuple[str, ...] = TRAIN_MODES,
                     map_ratio: float = 0.5) -> dict[str, float]:
     """Train one detector per weighting mode on a shared corpus; report mAP.
 

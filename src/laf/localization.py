@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import Interval, VideoSequence
 from .errors import CorpusFormatError, ValidationError
-from .ioutil import atomic_write_text, json_fields, json_line
+from .ioutil import atomic_write_bytes, json_fields, json_line
 from .lstm import LstmModel, lstm_forward
 
 
@@ -93,11 +93,6 @@ class DetectionTable:
         offsets = np.cumsum([0, *map(len, videos)])
         return cls.from_columns([v for ids in videos for v in ids], *map(np.concatenate, columns),
                                 video=np.concatenate([c + k for c, k in zip(codes, offsets)]))
-
-    @property
-    def video_id(self) -> np.ndarray:
-        """Each row's video id, decoded into an object array of str."""
-        return np.array(self.videos, dtype=object)[self.video]
 
     def __len__(self) -> int:
         return len(self.score)
@@ -253,16 +248,26 @@ def detection_rank(table: DetectionTable) -> np.ndarray:
     return np.lexsort((table.start, table.video, -table.score, table.label))
 
 
+DETECTION_CHUNK = 4096  # rows encoded at a time by the saver, lines parsed at once by the loader
+
+
 def save_detections(detections: DetectionTable | Iterable[Detection], path: str | Path) -> None:
     """JSON Lines in :func:`detection_rank` order, each line as ``json.dumps`` with
-    compact separators writes the record, formatted from the columns."""
+    compact separators writes the record, formatted from the columns and encoded
+    :data:`DETECTION_CHUNK` rows at a time, so no str of the whole file is built."""
     table = DetectionTable.of(detections)
-    videos, *columns = vars(table.take(detection_rank(table))).values()
-    quoted = [json.dumps(vid) for vid in videos]
-    lines = [f'{{"video_id":{quoted[v]},"label":{label},"start":{start},"end":{end},'
-             f'"score":{score!r}}}' for v, label, start, end, score
-             in zip(*(c.tolist() for c in columns))]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rank = detection_rank(table)
+    quoted = [json.dumps(vid) for vid in table.videos]
+
+    def encode(first: int) -> bytes:
+        _, *columns = vars(table.take(rank[first:first + DETECTION_CHUNK])).values()
+        lines = [f'{{"video_id":{quoted[v]},"label":{label},"start":{start},"end":{end},'
+                 f'"score":{score!r}}}' for v, label, start, end, score
+                 in zip(*(c.tolist() for c in columns))]
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    # An empty table is one empty chunk: the file is a lone "\n".
+    atomic_write_bytes(path, *map(encode, range(0, len(table) or 1, DETECTION_CHUNK)))
 
 
 DETECTION_KINDS = {"video_id": str, "label": int, "start": int, "end": int, "score": float}
@@ -283,7 +288,7 @@ def _detection_columns(columns: Sequence[Sequence]) -> DetectionTable:
 
 
 def load_detections(path: str | Path) -> DetectionTable:
-    """Read a detections file with one ``json.loads`` per 4096 nonblank lines.
+    """Read a detections file with one ``json.loads`` per :data:`DETECTION_CHUNK` nonblank lines.
 
     Each parse is kept only where it reads every line as
     :func:`load_detection_lines` would: each line is one ``{...}`` and holds
@@ -295,8 +300,8 @@ def load_detections(path: str | Path) -> DetectionTable:
     """
     lines = [line for line in Path(path).read_bytes().split(b"\n") if line.strip()]
     try:
-        return DetectionTable.concat([_parse_at_once(lines[first:first + 4096])
-                                      for first in range(0, len(lines), 4096)])
+        return DetectionTable.concat([_parse_at_once(lines[first:first + DETECTION_CHUNK])
+                                      for first in range(0, len(lines), DETECTION_CHUNK)])
     except (ValueError, KeyError, ValidationError):
         return load_detection_lines(path)
 

@@ -110,9 +110,9 @@ class SequenceTrace:
     longest first (a stable sort); ``packed`` is each row's row in the input.
     ``blocks[t]`` is step t's (first row, video count, first previous-state row).
     The state arrays hold the B start states in their first B rows: ``c``/``r`` view
-    the rows after them, ``prev_c``/``prev_r`` hold each row's previous state (for B=1,
-    views of rows 0..T-1). ``i, f, g, o`` view ``gates`` (``g`` is the block input);
-    ``probs`` holds the output softmax.
+    the rows after them, ``prev_c``/``prev_r`` are copies of each row's previous state.
+    ``i, f, g, o`` view ``gates`` (``g`` is the block input); ``probs`` holds the output
+    softmax. One video (B=1) has the same layout, one row per block.
     """
 
     def __init__(self, x, states_c, states_r, gates, hc, m, probs, layout):
@@ -134,8 +134,6 @@ def _layout(lengths, rows: int) -> tuple:
             or lengths.min() < 1 or lengths.sum() != rows:
         raise ValidationError(f"lengths must be positive step counts summing to {rows} rows")
     batch = len(lengths)
-    if batch == 1:
-        return lengths, slice(None), [(t, 1, t) for t in range(rows)], slice(0, rows)
     order = np.argsort(-lengths, kind="stable")
     steps = np.arange(lengths.max())[:, None]
     running = steps < lengths[order]  # (T, B): step t of the t-th longest video exists
@@ -183,6 +181,7 @@ def lstm_forward(model: LstmModel, frames: np.ndarray, state: LstmState | None =
     ``frames`` holds the videos back to back, ``lengths`` their step counts (default: one
     video); outputs keep that row order, and ``state`` needs B=1. The input product is one
     matrix product; each step adds one recurrent product over the videos still running.
+    Every B, one video included, runs this one time-major block loop.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] != model.input_dim:
@@ -199,15 +198,11 @@ def lstm_forward(model: LstmModel, frames: np.ndarray, state: LstmState | None =
     c, r = np.empty((batch + rows, cells)), np.empty((batch + rows, model.proj_dim))
     c[:batch], r[:batch] = start.c, start.r
     hc, m = np.empty((2, rows, cells))
-    peep_if, w_oc = np.stack([model.w_ic, model.w_cf]), model.w_oc
+    peep_if, w_oc = np.stack([model.w_ic, model.w_cf])[:, None], model.w_oc
     w_r_t, w_rm_t, z_all = w_r.T, model.w_rm.T, gates.reshape(rows, 4, cells)
-    if batch == 1:  # iterating rows is cheaper than slicing blocks of one
-        views = zip(z_all, c[:-1], c[1:], r[:-1], r[1:], hc, m)
-    else:  # a step's rows are (n, .) blocks, its gates (4, n, C) once axes are swapped
-        peep_if = peep_if[:, None]
-        views = ((z_all[a:a + n], c[p:p + n], c[a + batch:a + batch + n], r[p:p + n],
-                  r[a + batch:a + batch + n], hc[a:a + n], m[a:a + n]) for a, n, p in blocks)
-    for z, c0, c1, r0, r1, h, mt in views:
+    # A step's rows are (n, .) blocks, its gates (4, n, C) once axes are swapped.
+    for a, n, p in blocks:
+        z, c0, c1, r0 = z_all[a:a + n], c[p:p + n], c[a + batch:a + batch + n], r[p:p + n]
         z += np.dot(r0, w_r_t).reshape(z.shape)
         i, f, g, o = gate = z.swapaxes(0, -2)
         gate[:2] += peep_if * c0
@@ -216,12 +211,12 @@ def lstm_forward(model: LstmModel, frames: np.ndarray, state: LstmState | None =
         np.multiply(f, c0, out=c1)
         c1 += i * g
         o[:] = sigmoid(o + w_oc * c1)
+        h, mt = hc[a:a + n], m[a:a + n]
         np.tanh(c1, out=h)
         np.multiply(o, h, out=mt)
-        np.dot(mt, w_rm_t, out=r1)
+        np.dot(mt, w_rm_t, out=r[a + batch:a + batch + n])
     y = r[batch:] @ model.w_yr.T + model.b_y
-    # Back to the packed order: an index array even for B=1, so both outputs are copies.
-    unpack = np.arange(rows) if batch == 1 else np.argsort(packed)
+    unpack = np.argsort(packed)  # back to the packed order; both outputs are copies
     logits = y[unpack]
     probs = softmax(y, axis=1, out=y)  # row by row, so it commutes with the reordering
     return logits, probs[unpack], SequenceTrace(x, c, r, gates, hc, m, probs, layout)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Interval, VideoSequence, WebImage
+from .corpus import SPLITS, Corpus, Interval, VideoSequence, WebImage
 from .errors import ValidationError
 
 
@@ -152,21 +152,16 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
     centers = mode_centers(spec)
     rng = np.random.default_rng((spec.seed, 1))
 
-    split_counts = (
-        ("train", spec.train_videos_per_action),
-        ("validation", spec.validation_videos_per_action),
-        ("test", spec.test_videos_per_action),
-    )
-    rows_per_label = sum(count for _, count in split_counts) * spec.frames_per_video[1] \
-        + spec.images_per_action
+    split_counts = {split: getattr(spec, f"{split}_videos_per_action") for split in SPLITS}
+    rows_per_label = sum(split_counts.values()) * spec.frames_per_video[1] + spec.images_per_action
     blocks = _RowBlocks(spec.num_labels * rows_per_label, spec.feature_dim)
-    videos: dict[str, list[VideoSequence]] = {}
-    for split, count in split_counts:
-        videos[split] = [
+    videos: dict[str, tuple[VideoSequence, ...]] = {}  # Corpus keywords, drawn in SPLITS order
+    for split, count in split_counts.items():
+        videos[f"{split}_videos"] = tuple(
             _make_video(rng, spec, centers, label, f"{split}-{label:03d}-{i:03d}", blocks)
             for label in range(spec.num_labels)
             for i in range(count)
-        ]
+        )
 
     images = []
     for label in range(spec.num_labels):
@@ -179,8 +174,7 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
                                    feature=feature, relevant=relevant))
 
     return Corpus(num_labels=spec.num_labels, feature_dim=spec.feature_dim, images=tuple(images),
-                  train_videos=tuple(videos["train"]), validation_videos=tuple(videos["validation"]),
-                  test_videos=tuple(videos["test"]))
+                  **videos)
 
 
 def image_pool_purity(images) -> float:
@@ -204,7 +198,7 @@ def corpus_stats(corpus: Corpus) -> dict:
     for img in corpus.images:
         images_per_label[img.label] += 1
     videos_per_label = {}
-    for split in ("train", "validation", "test"):
+    for split in SPLITS:
         counts = [0] * corpus.num_labels
         for vid in getattr(corpus, f"{split}_videos"):
             counts[vid.label] += 1

@@ -138,11 +138,9 @@ def validation_accuracy(clf: Classifier, validation_videos: Sequence[VideoSequen
 
 
 def laf_scores_for_video(proposal_model: Classifier, video: VideoSequence) -> np.ndarray:
-    """Per-step weights: the model's probability for the video's own label.
-
-    The column is copied, so the weights do not keep the (T, N) softmax alive.
-    """
-    return predict_softmax_many(proposal_model, video.frames)[:, video.label].copy()
+    """Per-step weights: the model's probability for the video's own label at each step,
+    from :func:`scores_for_labels` as the filters get theirs."""
+    return scores_for_labels(proposal_model, video.frames, np.full(video.num_steps, video.label))
 
 
 def _max_removed(scores: np.ndarray, keep: np.ndarray) -> float | None:

@@ -33,7 +33,7 @@ def test_nested_overrides():
     assert config.synth.frames_per_video == (5, 9)
     assert config.transfer.theta1 == 0.25
     assert config.transfer.classifier_config.epochs == 7
-    assert config.classifier.learning_rate == 0.5
+    assert config.transfer.classifier_config.learning_rate == 0.5
     assert config.lstm.num_cells == 1024
     assert config.lstm.gradient_clip is None
     assert config.localization.window_stride == 3

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 from laf.corpus import Interval
 from laf.errors import ValidationError
-from laf.localization import (Detection, DetectionTable, LocalizationConfig, classify_video,
-                              detection_rank, load_detection_lines, load_detections, localize,
-                              localize_videos, save_detections, sliding_window_scores,
-                              temporal_iou, temporal_nms)
+from laf.localization import (DETECTION_CHUNK, Detection, DetectionTable, LocalizationConfig,
+                              classify_video, detection_rank, load_detection_lines,
+                              load_detections, localize, localize_videos, save_detections,
+                              sliding_window_scores, temporal_iou, temporal_nms)
 from laf.lstm import LstmTrainConfig, lstm_forward, train_lstm
 from laf.synth import SynthSpec, generate_corpus
 
@@ -346,11 +347,43 @@ def test_parse_at_once_reads_what_the_line_parser_reads(tmp_path, monkeypatch):
     monkeypatch.setattr("laf.localization.load_detection_lines", None)  # no line-parser fallback
     loaded = load_detections(path)
     assert len(loaded) == 5003
-    for name in ("video_id", "label", "start", "end", "score"):
+    assert loaded.videos == expected.videos
+    for name in ("video", "label", "start", "end", "score"):
         got, want = getattr(loaded, name), getattr(expected, name)
         assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
     assert np.signbit(loaded.score[:3]).tolist() == [False, False, True]
     assert type(loaded.score[0].item()) is float
+
+
+def random_table(rng, count: int) -> DetectionTable:
+    """``count`` detections over five ids that need JSON escapes, with tied scores."""
+    ids = [f'v{k}"\u00e9' for k in range(5)]
+    starts = rng.integers(0, 500, count)
+    return DetectionTable.from_columns(rng.choice(ids, count).tolist(), rng.integers(0, 9, count),
+                                       starts, starts + rng.integers(1, 20, count),
+                                       np.round(rng.normal(size=count), 2) / 3)
+
+
+def test_save_detections_writes_compact_json_lines_across_chunks(tmp_path):
+    table = random_table(np.random.default_rng(29), 3 * DETECTION_CHUNK + 123)
+    path = tmp_path / "det.jsonl"
+    save_detections(table, path)
+    ranked = sorted(table, key=lambda d: (d.label, -d.score, d.video_id, d.interval.start))
+    expected = "".join(json.dumps({"video_id": d.video_id, "label": d.label,
+                                   "start": d.interval.start, "end": d.interval.end,
+                                   "score": d.score}, separators=(",", ":")) + "\n"
+                       for d in ranked)
+    assert path.read_bytes() == expected.encode("utf-8")
+    save_detections([], path)
+    assert path.read_bytes() == b"\n"
+
+
+def test_save_detections_peak_memory_stays_below_twice_the_file(tmp_path):
+    # whole-file lines and text once cost ~4x the file; chunks hold ~1x, the encoded bytes
+    table = random_table(np.random.default_rng(31), 60_000)
+    path = tmp_path / "det.jsonl"
+    _, peak = traced_peak(lambda: save_detections(table, path))
+    assert peak < 2 * path.stat().st_size
 
 
 def test_localize_videos_covers_every_test_video():
