@@ -266,7 +266,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
               "feature_dim": corpus.feature_dim, "records": len(records),
               "rows": sum(map(len, blocks)), "sha256": digest.hexdigest()}
     text = "\n".join(json.dumps(rec, separators=(",", ":")) for rec in (header, *records)).encode()
-    atomic_write_bytes(path, text + b" " * (-(len(text) + 1) % 8) + b"\n", *blocks)
+    atomic_write_bytes(path, [text + b" " * (-(len(text) + 1) % 8) + b"\n", *blocks])
 
 
 def with_laf_weights(corpus: Corpus, weights: dict[str, np.ndarray]) -> Corpus:

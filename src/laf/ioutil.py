@@ -8,6 +8,7 @@ import math
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -109,9 +110,10 @@ def read_json_object(path: str | Path, fmt: str | None = None, version: int | No
     return obj
 
 
-def atomic_write_bytes(path: str | Path, *chunks) -> None:
-    """Write the bytes-like ``chunks`` to a temp file in the target directory,
-    then rename it; no partially-written output file is left behind on error."""
+def atomic_write_bytes(path: str | Path, chunks: Iterable) -> None:
+    """Write the bytes-like ``chunks`` to a temp file in the target directory, each as
+    the iterable yields it, then rename the file; no partially-written output file is
+    left behind on error."""
     path = Path(path)
     umask = os.umask(0)
     os.umask(umask)
@@ -128,7 +130,7 @@ def atomic_write_bytes(path: str | Path, *chunks) -> None:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, [text.encode("utf-8")])
 
 
 def atomic_write_json(path: str | Path, obj) -> None:

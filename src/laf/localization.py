@@ -230,16 +230,33 @@ def localize(video_id: str, step_probs: np.ndarray, config: LocalizationConfig) 
     return temporal_nms(WindowScores(video_id, starts, ends, means), config.nms_overlap)
 
 
+INFERENCE_ROWS = 4096  # packed rows per inference forward; a longer video runs alone
+
+
 def localize_videos(model: LstmModel, videos: Sequence[VideoSequence], config: LocalizationConfig
                     ) -> tuple[DetectionTable, dict[str, np.ndarray]]:
-    """Detections on every video and each video's average-fusion scores, from one
-    forward pass per video."""
-    tables, fused = [], {}
-    for video in videos:
-        probs = lstm_forward(model, video.frames)[1]  # the logits and trace go at once
-        fused[video.id] = classify_video(probs)
-        tables.append(localize(video.id, probs, config))
-    return DetectionTable.concat(tables), fused
+    """Detections on every video and each video's average-fusion scores, in input order.
+
+    Videos sorted by length (longest first, stable) fill groups of at most
+    :data:`INFERENCE_ROWS` steps, a longer video alone; one forward per group keeps one
+    group's trace in memory. A video's scores depend, in their last bits, on its group.
+    """
+    groups, rows = [], INFERENCE_ROWS
+    for k in sorted(range(len(videos)), key=lambda k: -videos[k].num_steps):
+        rows += videos[k].num_steps
+        if rows > INFERENCE_ROWS:
+            groups.append([])
+            rows = videos[k].num_steps
+        groups[-1].append(k)
+    tables, fused = [None] * len(videos), [None] * len(videos)
+    for group in groups:
+        lengths = [videos[k].num_steps for k in group]
+        probs = lstm_forward(model, np.concatenate([videos[k].frames for k in group]),
+                             lengths=lengths)[1]  # the logits and trace go at once
+        for k, video_probs in zip(group, np.split(probs, np.cumsum(lengths)[:-1])):
+            fused[k] = classify_video(video_probs)
+            tables[k] = localize(videos[k].id, video_probs, config)
+    return DetectionTable.concat(tables), {v.id: f for v, f in zip(videos, fused)}
 
 
 def detection_rank(table: DetectionTable) -> np.ndarray:
@@ -254,7 +271,7 @@ DETECTION_CHUNK = 4096  # rows encoded at a time by the saver, lines parsed at o
 def save_detections(detections: DetectionTable | Iterable[Detection], path: str | Path) -> None:
     """JSON Lines in :func:`detection_rank` order, each line as ``json.dumps`` with
     compact separators writes the record, formatted from the columns and encoded
-    :data:`DETECTION_CHUNK` rows at a time, so no str of the whole file is built."""
+    :data:`DETECTION_CHUNK` rows at a time; each chunk is written as it is encoded."""
     table = DetectionTable.of(detections)
     rank = detection_rank(table)
     quoted = [json.dumps(vid) for vid in table.videos]
@@ -267,7 +284,7 @@ def save_detections(detections: DetectionTable | Iterable[Detection], path: str 
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     # An empty table is one empty chunk: the file is a lone "\n".
-    atomic_write_bytes(path, *map(encode, range(0, len(table) or 1, DETECTION_CHUNK)))
+    atomic_write_bytes(path, map(encode, range(0, len(table) or 1, DETECTION_CHUNK)))
 
 
 DETECTION_KINDS = {"video_id": str, "label": int, "start": int, "end": int, "score": float}

@@ -39,6 +39,33 @@ def reference_lstm_step(model, x, prev_c, prev_r):
     return np.array(c), np.array(r), np.array(y)
 
 
+def reference_inference_groups(lengths, budget):
+    """Input positions grouped for inference: longest first (``sorted`` is stable), each
+    group taking the next video while its steps stay within ``budget``; a video longer
+    than the budget forms a group alone."""
+    groups = []
+    for k in sorted(range(len(lengths)), key=lambda k: -lengths[k]):
+        if groups and sum(lengths[j] for j in groups[-1]) + lengths[k] <= budget:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    return groups
+
+
+def reference_grouped_probs(videos, budget, forward):
+    """Each video's (T, N) rows of one ``forward(frames, lengths)`` per group of
+    :func:`reference_inference_groups`, in input order; ``videos`` are (T, d) frame
+    matrices and ``forward`` returns the stacked rows of the videos it is given."""
+    probs = [None] * len(videos)
+    for group in reference_inference_groups([len(v) for v in videos], budget):
+        out = forward(np.concatenate([videos[k] for k in group]), [len(videos[k]) for k in group])
+        first = 0
+        for k in group:
+            probs[k] = out[first:first + len(videos[k])]
+            first += len(videos[k])
+    return probs
+
+
 def brute_force_nms(detections, overlap):
     """Greedy suppression by repeated max search (no sorting tricks)."""
 

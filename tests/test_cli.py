@@ -22,7 +22,7 @@ from laf.experiments import DESK_CONFIG, weighting_trial
 from laf.pipeline import training_videos_for_mode
 
 from conftest import edit_corpus_lines
-from oracles import line_by_line_brace_check
+from oracles import line_by_line_brace_check, reference_inference_groups
 
 TINY = {
     "seed": 3,
@@ -566,18 +566,27 @@ def test_malformed_input_is_one_error_line(case, config_path, tmp_path):
 
 def test_localize_runs_the_model_once_per_test_video(config_path, tmp_path, monkeypatch):
     annotated, checkpoint, _ = full_chain(config_path, tmp_path)
-    steps = []
+    calls = []
 
-    def counted(model, frames, *args, **kwargs):
-        steps.append(len(frames))
-        return lstm.lstm_forward(model, frames, *args, **kwargs)
+    def counted(model, frames, *args, lengths=None, **kwargs):
+        calls.append((frames, lengths))
+        return lstm.lstm_forward(model, frames, *args, lengths=lengths, **kwargs)
 
     for module in (localization, pipeline):
         monkeypatch.setattr(module, "lstm_forward", counted, raising=False)
+    monkeypatch.setattr(localization, "INFERENCE_ROWS", 40)  # 8 videos of 12-16 steps
     assert run_cli("localize", "--config", config_path, "--checkpoint", str(checkpoint),
                    "--corpus", str(annotated), "--out", str(tmp_path / "again.jsonl")) == 0
     videos = load_corpus(annotated).test_videos
-    assert steps == [video.num_steps for video in videos]
+    lengths = [video.num_steps for video in videos]
+    groups = reference_inference_groups(lengths, 40)
+    assert len(groups) >= 3
+    assert [sizes for _, sizes in calls] == [[lengths[k] for k in g] for g in groups]
+    assert sum(len(frames) for frames, _ in calls) == sum(lengths)
+    # each test video's frames went through exactly one call, once
+    forwarded = sorted(block.tobytes() for frames, sizes in calls
+                       for block in np.split(frames, np.cumsum(sizes)[:-1]))
+    assert forwarded == sorted(video.frames.tobytes() for video in videos)
 
 
 def test_diverging_training_is_one_error_line_and_writes_nothing(config_path, tmp_path):

@@ -64,10 +64,10 @@ def test_decode_f64_checks_the_shape():
 
 def test_atomic_write_bytes_writes_the_chunks_in_order_or_nothing(tmp_path):
     values = np.array([1.5, -0.0, 5e-324])
-    atomic_write_bytes(tmp_path / "out.bin", b"text\n", values)
+    atomic_write_bytes(tmp_path / "out.bin", iter([b"text\n", values]))
     assert (tmp_path / "out.bin").read_bytes() == b"text\n" + values.astype("<f8").tobytes()
     with pytest.raises(TypeError):
-        atomic_write_bytes(tmp_path / "bad.bin", b"text\n", "not bytes")
+        atomic_write_bytes(tmp_path / "bad.bin", [b"text\n", "not bytes"])
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 

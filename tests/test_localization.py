@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laf import localization
 from laf.corpus import Interval
 from laf.errors import ValidationError
 from laf.localization import (DETECTION_CHUNK, Detection, DetectionTable, LocalizationConfig,
@@ -17,7 +18,7 @@ from laf.lstm import LstmTrainConfig, lstm_forward, train_lstm
 from laf.synth import SynthSpec, generate_corpus
 
 from conftest import multi_video_detections, traced_peak
-from oracles import brute_force_nms
+from oracles import brute_force_nms, reference_grouped_probs, reference_inference_groups
 
 
 def det(start, end, score, label=0, video="v"):
@@ -378,21 +379,68 @@ def test_save_detections_writes_compact_json_lines_across_chunks(tmp_path):
     assert path.read_bytes() == b"\n"
 
 
-def test_save_detections_peak_memory_stays_below_twice_the_file(tmp_path):
-    # whole-file lines and text once cost ~4x the file; chunks hold ~1x, the encoded bytes
+def test_save_detections_writes_each_chunk_as_it_is_encoded(tmp_path):
+    # chunks all encoded before the first write cost ~1.15x the file; one chunk at a
+    # time holds one chunk's lines, text and bytes, plus the rank
     table = random_table(np.random.default_rng(31), 60_000)
     path = tmp_path / "det.jsonl"
     _, peak = traced_peak(lambda: save_detections(table, path))
-    assert peak < 2 * path.stat().st_size
+    assert peak < 0.5 * path.stat().st_size
+
+
+def assert_same_table(a, b):
+    assert a.videos == b.videos
+    for name in ("video", "label", "start", "end", "score"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def check_grouped_inference(model, videos, config, budget):
+    """``localize_videos`` equals plain grouped forwards exactly, in input order, and
+    one-video forwards within 1e-12 relative; returns each forward call's lengths."""
+    calls = []
+
+    def forward(model, frames, *args, lengths=None, **kwargs):
+        calls.append(list(lengths))
+        return lstm_forward(model, frames, *args, lengths=lengths, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(localization, "INFERENCE_ROWS", budget)
+        patch.setattr(localization, "lstm_forward", forward)
+        detections, fused = localize_videos(model, videos, config)
+    grouped = reference_grouped_probs([v.frames for v in videos], budget,
+                                      lambda frames, lengths: lstm_forward(
+                                          model, frames, lengths=lengths)[1])
+    single = [lstm_forward(model, v.frames)[1] for v in videos]
+    assert list(fused) == [v.id for v in videos]
+    for probs, rtol in ((grouped, 0.0), (single, 1e-12)):  # rtol 0: exactly equal
+        expected = DetectionTable.concat([localize(v.id, p, config) for v, p in zip(videos, probs)])
+        assert_same_table(detections, dataclasses.replace(expected, score=detections.score))
+        np.testing.assert_allclose(detections.score, expected.score, rtol=rtol, atol=0)
+        for video, p in zip(videos, probs):
+            np.testing.assert_allclose(fused[video.id], classify_video(p), rtol=rtol, atol=0)
+    return calls
+
+
+@pytest.mark.parametrize("budget, count, groups", [(40, 0, 0), (20, 1, 1), (80, 8, 4), (20, 8, 8)])
+def test_localize_videos_runs_one_forward_per_length_sorted_group(budget, count, groups):
+    # the test videos run 30-40 steps: two fit in 80 rows, none in 20
+    corpus, model = trained_localizer()
+    videos = corpus.test_videos[:count]
+    lengths = [v.num_steps for v in videos]
+    calls = check_grouped_inference(model, videos, LocalizationConfig(), budget)
+    assert calls == [[lengths[k] for k in group]
+                     for group in reference_inference_groups(lengths, budget)]
+    assert len(calls) == groups
+    assert all(sum(call) <= budget or len(call) == 1 for call in calls)
 
 
 def test_localize_videos_covers_every_test_video():
     corpus, model = trained_localizer()
-    detections, fused = localize_videos(model, corpus.test_videos, LocalizationConfig())
+    config = LocalizationConfig()
+    calls = check_grouped_inference(model, corpus.test_videos, config, localization.INFERENCE_ROWS)
+    assert calls == [sorted((v.num_steps for v in corpus.test_videos), reverse=True)]
+    detections, _ = localize_videos(model, corpus.test_videos, config)
     assert {d.video_id for d in detections} == {v.id for v in corpus.test_videos}
-    for video in corpus.test_videos:
-        _, probs, _ = lstm_forward(model, video.frames)
-        assert np.array_equal(fused[video.id], classify_video(probs))
 
 
 def test_config_validation():
