@@ -308,12 +308,14 @@ def load_detections(path: str | Path) -> DetectionTable:
     """Read a detections file with one ``json.loads`` per :data:`DETECTION_CHUNK` nonblank lines.
 
     Each parse is kept only where it reads every line as
-    :func:`load_detection_lines` would: each line is one ``{...}`` and holds
-    no other ``{``, so no object is nested; there are as many records as
-    lines, each with exactly the five fields; and the values are valid. No
-    JSON string holds a raw newline, so no record then spans or shares a line,
-    and each line parses alone to the same record. Any other file is read
-    line by line, and its errors name the line.
+    :func:`load_detection_lines` would: each line's first byte is ``{`` and it
+    holds no other ``{``; the parse gives one dict per line, each with exactly
+    the five fields; and the values are valid. No JSON string spans a line
+    break, so every record starts at a line start, and a record that ran past
+    its line would nest the next line's ``{`` and leave fewer records than
+    lines; anything but whitespace after a record is a syntax error or an
+    extra value. So each line parses alone to the same record. Any other file
+    is read line by line, and its errors name the line.
     """
     lines = [line for line in Path(path).read_bytes().split(b"\n") if line.strip()]
     try:
@@ -325,16 +327,12 @@ def load_detections(path: str | Path) -> DetectionTable:
 
 def _parse_at_once(lines: list[bytes]) -> DetectionTable:
     """The detections of ``lines`` from one parse of them joined as a JSON array;
-    ValueError or KeyError unless each line is one valid detection record."""
+    ValueError or KeyError unless each line is one valid detection record: it starts
+    with its only ``{``, and the parse gives one five-field dict per line."""
     text = b"[" + b",\n".join(lines) + b"]"
-    # Lines hold no "\n", so each starts after the "[" or a "\n" of the text and, once
-    # the text's "\r"s are gone, ends before the "]" or a ",\n".
-    raw = np.frombuffer(text, dtype=np.uint8)
-    flat = np.frombuffer(text.replace(b"\r", b""), dtype=np.uint8)
+    raw = np.frombuffer(text, dtype=np.uint8)  # lines hold no "\n": each starts after "[" or "\n"
     firsts = raw[np.r_[0, np.flatnonzero(raw == ord("\n"))] + 1]
-    lasts = flat[np.r_[np.flatnonzero(flat == ord("\n")), len(flat)] - 2]
-    if np.count_nonzero(raw == ord("{")) != len(lines) or (firsts != ord("{")).any() \
-            or (lasts != ord("}")).any():
+    if np.count_nonzero(raw == ord("{")) != len(lines) or (firsts != ord("{")).any():
         raise ValueError("not one flat record per line")
     records = json.loads(text.decode("utf-8"))
     if len(records) != len(lines) or {*map(type, records)} != {dict} \

@@ -38,27 +38,17 @@ CHECKPOINT_FORMAT = "laf-lstm"
 CHECKPOINT_VERSION = 1
 DIM_KEYS = ("input", "cells", "projection", "outputs")  # checkpoint "dims", in LstmModel order
 
-PARAM_FIELDS = (
-    "w_ix", "w_fx", "w_cx", "w_ox",
-    "w_ir", "w_rf", "w_cr", "w_or",
-    "w_ic", "w_cf", "w_oc",
-    "b_i", "b_f", "b_c", "b_o",
-    "w_rm", "w_yr", "b_y",
-)
-
 
 def param_shapes(input_dim: int, num_cells: int, proj_dim: int, num_labels: int) -> dict[str, tuple]:
-    shapes: dict[str, tuple] = {}
-    for name in ("w_ix", "w_fx", "w_cx", "w_ox"):
-        shapes[name] = (num_cells, input_dim)
-    for name in ("w_ir", "w_rf", "w_cr", "w_or"):
-        shapes[name] = (num_cells, proj_dim)
-    for name in ("w_ic", "w_cf", "w_oc", "b_i", "b_f", "b_c", "b_o"):
-        shapes[name] = (num_cells,)
-    shapes["w_rm"] = (proj_dim, num_cells)
-    shapes["w_yr"] = (num_labels, proj_dim)
-    shapes["b_y"] = (num_labels,)
-    return shapes
+    """The 18 parameters and their shapes, in the one order of checkpoints, initialization
+    and gradients."""
+    return {**dict.fromkeys(("w_ix", "w_fx", "w_cx", "w_ox"), (num_cells, input_dim)),
+            **dict.fromkeys(("w_ir", "w_rf", "w_cr", "w_or"), (num_cells, proj_dim)),
+            **dict.fromkeys(("w_ic", "w_cf", "w_oc", "b_i", "b_f", "b_c", "b_o"), (num_cells,)),
+            "w_rm": (proj_dim, num_cells), "w_yr": (num_labels, proj_dim), "b_y": (num_labels,)}
+
+
+PARAM_FIELDS = tuple(param_shapes(0, 0, 0, 0))
 
 
 @dataclass(eq=False)
@@ -153,8 +143,8 @@ def init_model(input_dim: int, num_cells: int, proj_dim: int, num_labels: int,
                init_scale: float = 0.05, seed: int = 0) -> LstmModel:
     """Uniform(-scale, scale) everywhere, then forget-gate bias pinned to 1."""
     rng = np.random.default_rng(seed)
-    shapes = param_shapes(input_dim, num_cells, proj_dim, num_labels)
-    params = {name: rng.uniform(-init_scale, init_scale, shapes[name]) for name in PARAM_FIELDS}
+    params = {name: rng.uniform(-init_scale, init_scale, shape)
+              for name, shape in param_shapes(input_dim, num_cells, proj_dim, num_labels).items()}
     params["b_f"] = np.ones(num_cells)
     return LstmModel(input_dim, num_cells, proj_dim, num_labels, **params)
 
@@ -382,18 +372,10 @@ def train_lstm(train_videos: Sequence[VideoSequence], config: LstmTrainConfig, n
 
 
 def save_lstm(model: LstmModel, path: str | Path) -> None:
-    obj: dict = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "dims": {
-            "input": model.input_dim,
-            "cells": model.num_cells,
-            "projection": model.proj_dim,
-            "outputs": model.num_labels,
-        },
-    }
-    for name in PARAM_FIELDS:
-        obj[name] = encode_f64(getattr(model, name))
+    dims = (model.input_dim, model.num_cells, model.proj_dim, model.num_labels)
+    obj = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
+           "dims": dict(zip(DIM_KEYS, dims)),
+           **{name: encode_f64(getattr(model, name)) for name in PARAM_FIELDS}}
     atomic_write_text(path, json.dumps(obj) + "\n")
 
 

@@ -194,15 +194,8 @@ def corpus_stats(corpus: Corpus) -> dict:
     action_steps = sum(seg.length for v in gt_videos for seg in v.gt_segments)
     total_steps = sum(v.num_steps for v in gt_videos)
 
-    images_per_label = [0] * corpus.num_labels
-    for img in corpus.images:
-        images_per_label[img.label] += 1
-    videos_per_label = {}
-    for split in SPLITS:
-        counts = [0] * corpus.num_labels
-        for vid in getattr(corpus, f"{split}_videos"):
-            counts[vid.label] += 1
-        videos_per_label[split] = counts
+    def per_label(items) -> list[int]:
+        return np.bincount([item.label for item in items], minlength=corpus.num_labels).tolist()
 
     return {
         "num_labels": corpus.num_labels,
@@ -210,6 +203,6 @@ def corpus_stats(corpus: Corpus) -> dict:
         "num_images": len(corpus.images),
         "image_purity": purity,
         "action_step_fraction": action_steps / total_steps,
-        "images_per_label": images_per_label,
-        "videos_per_label": videos_per_label,
+        "images_per_label": per_label(corpus.images),
+        "videos_per_label": {split: per_label(getattr(corpus, f"{split}_videos")) for split in SPLITS},
     }

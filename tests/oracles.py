@@ -150,11 +150,9 @@ def reference_train_classifier(features, labels, num_labels, learning_rate, epoc
 
 
 def line_by_line_brace_check(lines):
-    """Whether each line starts with "{", ends in "}" and "\\r"s alone, and holds the
-    only "{" of its line, checked one line at a time."""
-    text = b"[" + b",\n".join(lines) + b"]"
-    return text.count(b"{") == len(lines) and all(
-        line[:1] == b"{" and line.rstrip(b"\r")[-1:] == b"}" for line in lines)
+    """Whether each line's first byte is "{" and the line holds one "{", checked one
+    line at a time."""
+    return all(line[:1] == b"{" and line.count(b"{") == 1 for line in lines)
 
 
 def reference_generate_corpus(spec):

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import laf
 from laf import localization, lstm, pipeline
@@ -290,6 +292,8 @@ NOT_ONE_RECORD_PER_LINE = {  # the one parse must leave each to the line parser
                                            '"start":0,"end":5,"score":1.0}',
                                            f"{{{RECORD}}},{{{RECORD}}}"],
     "two_records_on_one_line": [f"{{{RECORD}}},{{{RECORD}}}"],
+    "repeated_key_hides_a_split_record_alone": ['{"video_id":"v","label":0,"start":0,"end":5,"score":[1',
+                                                '{}],"score":1.0}'],
     "repeated_key_hides_a_split_record": ['{"video_id":"v","label":0,"start":0,"end":5,"score":[{}',
                                           '{}],"score":1.0}', f"{{{RECORD}}},{{{RECORD}}}"],
 }
@@ -323,11 +327,24 @@ ONLY_THE_LINE_PARSER_READS = {  # valid files, each with (file, an equal file th
 }
 
 
-@pytest.mark.parametrize("case", sorted(ONLY_THE_LINE_PARSER_READS))
-def test_valid_detections_read_by_the_line_parser(case, config_path, tmp_path, monkeypatch):
+def assert_same_table(loaded, expected):
+    assert loaded.videos == expected.videos
+    for name in ("video", "label", "start", "end", "score"):
+        got, want = getattr(loaded, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+
+
+def spy_on_the_line_parser(monkeypatch) -> list:
+    """The paths that ``load_detection_lines`` reads from now on."""
     line_parser, parsed = localization.load_detection_lines, []
     monkeypatch.setattr(localization, "load_detection_lines",
                         lambda path: parsed.append(path) or line_parser(path))
+    return parsed
+
+
+@pytest.mark.parametrize("case", sorted(ONLY_THE_LINE_PARSER_READS))
+def test_valid_detections_read_by_the_line_parser(case, config_path, tmp_path, monkeypatch):
+    parsed = spy_on_the_line_parser(monkeypatch)
     slow, fast = tmp_path / "slow.jsonl", tmp_path / "fast.jsonl"
     for path, lines in zip((slow, fast), ONLY_THE_LINE_PARSER_READS[case]):
         path.write_text("\n".join(lines) + "\n")
@@ -337,10 +354,8 @@ def test_valid_detections_read_by_the_line_parser(case, config_path, tmp_path, m
     assert parsed == [slow]
     assert list(loaded) == [Detection(vid, label, Interval(start, end), score)
                             for vid, label, start, end, score in ROWS]
-    assert loaded.videos == expected.videos == ("a", "b", "v{1")
-    for name in ("video", "label", "start", "end", "score"):
-        got, want = getattr(loaded, name), getattr(expected, name)
-        assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+    assert loaded.videos == ("a", "b", "v{1")
+    assert_same_table(loaded, expected)
 
     corpus_path = tmp_path / "corpus.jsonl"
     save_corpus(Corpus(num_labels=2, feature_dim=1, images=(), train_videos=(),
@@ -352,6 +367,18 @@ def test_valid_detections_read_by_the_line_parser(case, config_path, tmp_path, m
     assert run_cli("eval", "--config", config_path, "--detections", str(slow),
                    "--corpus", str(corpus_path), "--out", str(tmp_path / "r.json")) == 0
     assert json.loads((tmp_path / "r.json").read_text())["map_at"]["0.1"] > 0
+
+
+@pytest.mark.parametrize("ending", [" ", " \r"])
+def test_lines_ending_in_whitespace_are_read_by_the_one_parse(ending, tmp_path, monkeypatch):
+    parsed = spy_on_the_line_parser(monkeypatch)
+    lf, padded = tmp_path / "lf.jsonl", tmp_path / "padded.jsonl"
+    lines = detection_lines(True)
+    lf.write_bytes("".join(f"{line}\n" for line in lines).encode())
+    padded.write_bytes("".join(f"{line}{ending}\n" for line in lines).encode())
+    loaded, expected = load_detections(padded), load_detections(lf)
+    assert parsed == []
+    assert_same_table(loaded, expected)
 
 
 def outcome(load, path):
@@ -403,6 +430,62 @@ def test_brace_check_matches_the_line_by_line_check():
         accepted += line_by_line_brace_check(lines)
         assert flat_record_lines(lines) == line_by_line_brace_check(lines), lines
     assert 100 < accepted < 1900  # both outcomes are well sampled
+
+
+IDS = ['"a"', '"}"', '"v\\u007b1"']  # as written in the file; "{" is in the ids of `records`
+RECORD_FORM = '{{"video_id":{},"label":{},"start":{},"end":{},"score":{}{}}}'.format
+whitespace = st.sampled_from(["", " ", "\r", " \r", "\t", "\r\r"])
+valid_records = st.builds(RECORD_FORM, st.sampled_from(IDS), st.sampled_from(["0", "1"]),
+                          st.sampled_from(["0", "2"]), st.sampled_from(["5", "6"]),
+                          st.sampled_from(["0.5", "1", "1e-3"]), st.just(""))
+records = st.builds(RECORD_FORM, st.sampled_from([*IDS, '"v{1"', '"{}"']),
+                    st.sampled_from(["0", "-1", "true"]),
+                    st.sampled_from(["0", "2"]), st.sampled_from(["5", "2"]),
+                    st.sampled_from(["0.5", "{}", '{"a":[{}]}', '"x"']),
+                    st.sampled_from(["", ',"note":{}', ',"note":{"a":[1]}', ',"note":"x"']))
+
+
+def split_record(record, at):
+    """``record`` cut in two lines at one of its commas, which joining the lines into one
+    array puts back."""
+    at = [k for k, char in enumerate(record) if char == ","][at % record.count(",")]
+    return [record[:at], record[at + 1:]]
+
+
+def hidden_split(record, key, after):
+    """``record`` whose ``key`` first holds a list split across two lines, nesting the
+    second line's ``{``; the record's own fields follow, repeating ``key``, then ``after``."""
+    return [f'{record[:-1]},"{key}":[1', "{}]," + record[1:] + after]
+
+
+def one_line(*parts):
+    return ["".join(parts)]
+
+
+valid_lines = st.builds(one_line, valid_records, whitespace)  # maybe "\r"s and spaces after
+broken_lines = st.one_of(
+    st.builds(one_line, records, whitespace),  # "{" in ids, nested objects, wrong values
+    st.builds(split_record, st.one_of(valid_records, records), st.integers(0, 20)),
+    st.builds(hidden_split, valid_records, st.sampled_from(["score", "note"]),
+              st.sampled_from(["", ",1"])),
+    st.builds(one_line, valid_records, st.sampled_from([",", ""]), valid_records),
+    st.builds(one_line, valid_records, st.sampled_from(["", " ", ","]),  # an extra value
+              st.sampled_from(["1", '"x"', "[]", "null", "]", "}", "{}", "],["])),
+    st.builds(one_line, st.sampled_from([" ", "\r", "\t", "["]), valid_records),
+    st.sampled_from([[""], [" "], ["\r"]]),
+)
+# Two valid lines to each broken one, so that whole files often pass every check.
+line_shapes = st.integers(0, 2).flatmap(lambda k: valid_lines if k else broken_lines)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(shapes=st.lists(line_shapes, min_size=1, max_size=4), last_newline=st.booleans())
+def test_one_parse_reads_what_the_line_parser_reads_in_every_line_shape(shapes, last_newline,
+                                                                        tmp_path_factory):
+    path = tmp_path_factory.mktemp("shapes") / "det.jsonl"
+    path.write_bytes(("\n".join(line for shape in shapes for line in shape)
+                      + "\n" * last_newline).encode())
+    assert outcome(load_detections, path) == outcome(localization.load_detection_lines, path)
 
 
 def test_repeated_localize_and_eval_keep_no_state(config_path, tmp_path):

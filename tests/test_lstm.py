@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -515,13 +517,31 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
 
 
+CHECKPOINT_ORDER = ("w_ix", "w_fx", "w_cx", "w_ox", "w_ir", "w_rf", "w_cr", "w_or",
+                    "w_ic", "w_cf", "w_oc", "b_i", "b_f", "b_c", "b_o", "w_rm", "w_yr", "b_y")
+
+
+def test_param_fields_are_the_checkpoint_order(tmp_path):
+    assert PARAM_FIELDS == CHECKPOINT_ORDER
+    assert [f.name for f in dataclasses.fields(LstmModel)][4:] == list(CHECKPOINT_ORDER)
+    path = tmp_path / "model.json"
+    save_lstm(random_model(1), path)
+    assert list(json.loads(path.read_text())) == ["format", "version", "dims", *CHECKPOINT_ORDER]
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    path = tmp_path / "model.json"
+    save_lstm(init_model(2, 3, 2, 4, seed=0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "2aa254cca46903ea14e1a42d3911d4b8d94eaae04d17cbc9989f25e97556c211"
+
+
 def test_checkpoint_rejects_malformed_files(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{}")
     with pytest.raises(CorpusFormatError):
         load_lstm(path)
     save_lstm(random_model(1), path)
-    import json
     obj = json.loads(path.read_text())
     del obj["w_rm"]
     path.write_text(json.dumps(obj))
@@ -534,7 +554,6 @@ def test_checkpoint_rejects_malformed_files(tmp_path):
     ("cells", True, "'cells'"), ("input", None, "'input'"),
     ("projection", -2, r"w_ir: 6 values, expected shape \(3, -2\)")])
 def test_checkpoint_dims_must_be_json_integers(tmp_path, key, value, match):
-    import json
     path = tmp_path / "model.json"
     save_lstm(random_model(1), path)
     obj = json.loads(path.read_text())

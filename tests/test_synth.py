@@ -5,7 +5,7 @@ import pytest
 
 from laf.classifier import ClassifierTrainConfig, predict_softmax_many, train_classifier
 from laf import synth
-from laf.corpus import Interval
+from laf.corpus import SPLITS, Corpus, Interval, VideoSequence, WebImage
 from laf.errors import ValidationError
 from laf.experiments import experiment_config
 from laf.synth import SynthSpec, corpus_stats, generate_corpus, image_pool_purity, mode_centers
@@ -99,12 +99,34 @@ def test_purity_matches_binomial_expectation():
     assert abs(purity - 0.7) < 4 * np.sqrt(0.7 * 0.3 / n)
 
 
+def uneven_corpus():
+    """Labels 0, 1 and 2 hold 0, 1 and 3 web images, and as many videos in the train
+    and test splits; the validation split is empty."""
+    labels = (2, 1, 2, 2)
+    images = tuple(WebImage(f"img-{k}", label, np.zeros(2), relevant=True)
+                   for k, label in enumerate(labels))
+
+    def videos(split):
+        return tuple(VideoSequence(f"{split}-{k}", label, np.zeros((4, 2)),
+                                   gt_segments=(Interval(0, 2),))
+                     for k, label in enumerate(labels))
+
+    return Corpus(num_labels=3, feature_dim=2, images=images, train_videos=videos("train"),
+                  validation_videos=(), test_videos=videos("test"))
+
+
 def test_stats_counts_sum_to_corpus_sizes():
     corpus = generate_corpus(SMALL)
     stats = corpus_stats(corpus)
     assert sum(stats["images_per_label"]) == len(corpus.images)
     assert sum(stats["videos_per_label"]["train"]) == len(corpus.train_videos)
     assert sum(stats["videos_per_label"]["test"]) == len(corpus.test_videos)
+
+    stats = corpus_stats(uneven_corpus())
+    counts = [stats["images_per_label"], *stats["videos_per_label"].values()]
+    assert list(stats["videos_per_label"]) == list(SPLITS)
+    assert counts == [[0, 1, 3], [0, 1, 3], [0, 0, 0], [0, 1, 3]]  # images, train, validation, test
+    assert all(type(n) is int for per_label in counts for n in per_label)
 
 
 def test_stats_require_ground_truth_flags():
