@@ -74,9 +74,16 @@ def json_fields(rec, kinds: dict, where: str, optional=()) -> dict:
 
 
 def json_floats(values, where: str) -> np.ndarray:
-    """A JSON list of finite numbers (booleans excluded) as a read-only float64 vector."""
-    out = np.array([json_value(v, float, where) for v in json_value(values, list, where)],
-                   dtype=np.float64)
+    """A JSON list of finite numbers (booleans excluded) as a read-only float64 vector; a list
+    that fails the whole-list check raises :func:`json_value`'s error for its first bad value."""
+    values = json_value(values, list, where)
+    try:
+        out = np.array(values, np.float64) if {*map(type, values)} <= {int, float} else None
+    except OverflowError:  # an integer beyond the float range
+        out = None
+    if out is None or not np.isfinite(out).all():
+        for value in values:
+            json_value(value, float, where)
     out.setflags(write=False)
     return out
 

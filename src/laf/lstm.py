@@ -101,17 +101,17 @@ class SequenceTrace:
     ``blocks[t]`` is step t's (first row, video count, first previous-state row).
     The state arrays hold the B start states in their first B rows: ``c``/``r`` view
     the rows after them, ``prev_c``/``prev_r`` are copies of each row's previous state.
-    ``i, f, g, o`` view ``gates`` (``g`` is the block input); ``probs`` holds the output
-    softmax. One video (B=1) has the same layout, one row per block.
+    ``i, f, g, o`` are the gate-major (4, R, C) ``gates`` (``g`` is the block input);
+    ``probs`` holds the output softmax. One video (B=1) has the same layout, one row per block.
     """
 
     def __init__(self, x, states_c, states_r, gates, hc, m, probs, layout):
-        self.x, self.gates, self.hc, self.m, self.probs = x, gates, hc, m, probs
+        self.x, self.hc, self.m, self.probs = x, hc, m, probs
         self.lengths, self.packed, self.blocks, prev = layout
         batch = len(self.lengths)
         self.prev_c, self.c = states_c[prev], states_c[batch:]
         self.prev_r, self.r = states_r[prev], states_r[batch:]
-        self.i, self.f, self.g, self.o = np.split(gates, 4, axis=1)
+        self.i, self.f, self.g, self.o = gates
 
     def __len__(self) -> int:
         return len(self.x)
@@ -184,27 +184,38 @@ def lstm_forward(model: LstmModel, frames: np.ndarray, state: LstmState | None =
     start = zero_state(model) if state is None else state
     w_x, w_r, bias = _stacked(model)
     x = frames[packed]
-    gates = x @ w_x.T + bias  # pre-activations, activated in place block by block
+    # Pre-activations, activated in place. A step's block of n rows at row a is stored gate-major
+    # at slab rows 4a + kn + (j - a), so its i/f pair, its g and its o are contiguous slabs.
+    starts, counts = np.repeat(np.array(blocks)[:, :2], [n for _, n, _ in blocks], axis=0).T
+    slot = (3 * starts + np.arange(rows))[:, None] + counts[:, None] * np.arange(4)
+    gates = x @ w_x.T  # after the loop, its buffer holds the trace's gate-major (4, R, C) gates
+    gates += bias
+    slabs = np.empty((4 * rows, cells))
+    slabs[slot] = gates.reshape(rows, 4, cells)
     c, r = np.empty((batch + rows, cells)), np.empty((batch + rows, model.proj_dim))
     c[:batch], r[:batch] = start.c, start.r
     hc, m = np.empty((2, rows, cells))
     peep_if, w_oc = np.stack([model.w_ic, model.w_cf])[:, None], model.w_oc
-    w_r_t, w_rm_t, z_all = w_r.T, model.w_rm.T, gates.reshape(rows, 4, cells)
-    # A step's rows are (n, .) blocks, its gates (4, n, C) once axes are swapped.
+    w_r_t, w_rm_t = w_r.T, model.w_rm.T
     for a, n, p in blocks:
-        z, c0, c1, r0 = z_all[a:a + n], c[p:p + n], c[a + batch:a + batch + n], r[p:p + n]
-        z += np.dot(r0, w_r_t).reshape(z.shape)
-        i, f, g, o = gate = z.swapaxes(0, -2)
-        gate[:2] += peep_if * c0
-        gate[:2] = sigmoid(gate[:2])
+        z, c0, c1, r0 = (slabs[4 * a:4 * (a + n)].reshape(4, n, cells), c[p:p + n],
+                         c[a + batch:a + batch + n], r[p:p + n])
+        z += np.dot(r0, w_r_t).reshape(n, 4, cells).swapaxes(0, 1)
+        i, f, g, o = z
+        i_f = z[:2]
+        i_f += peep_if * c0
+        sigmoid(i_f, out=i_f)
         np.tanh(g, out=g)
         np.multiply(f, c0, out=c1)
         c1 += i * g
-        o[:] = sigmoid(o + w_oc * c1)
+        o += w_oc * c1
+        sigmoid(o, out=o)
         h, mt = hc[a:a + n], m[a:a + n]
         np.tanh(c1, out=h)
         np.multiply(o, h, out=mt)
         np.dot(mt, w_rm_t, out=r[a + batch:a + batch + n])
+    gates = np.take(slabs, slot.T, axis=0, out=gates.reshape(4, rows, cells), mode="clip")
+    del slabs, z, i, f, g, o, i_f  # the slabs and their views go before the (R, N) outputs
     y = r[batch:] @ model.w_yr.T + model.b_y
     unpack = np.argsort(packed)  # back to the packed order; both outputs are copies
     logits = y[unpack]
@@ -259,15 +270,16 @@ def lstm_backward(model: LstmModel, trace: SequenceTrace, labels, weights: np.nd
     i, f, g, o, hc = trace.i, trace.f, trace.g, trace.o, trace.hc
     d_o = hc * o * (1.0 - o)                               # ds_o = dm * d_o
     d_cell = o * (1.0 - hc ** 2) + d_o * model.w_oc        # dcell = dc + dm * d_cell
-    d_ifg = np.stack([g * i * (1.0 - i), trace.prev_c * f * (1.0 - f), i * (1.0 - g ** 2)], axis=1)
-    d_carry = f + d_ifg[:, 0] * model.w_ic + d_ifg[:, 1] * model.w_cf  # dc_{t-1} = dcell * d_carry
+    d_ifg = np.stack([g * i * (1.0 - i), trace.prev_c * f * (1.0 - f), i * (1.0 - g ** 2)])
+    d_carry = f + d_ifg[0] * model.w_ic + d_ifg[1] * model.w_cf  # dc_{t-1} = dcell * d_carry
 
     gate_sums, dr_sums = np.empty((rows, 4, cells)), np.empty((rows, model.proj_dim))
     dc, dr = np.zeros((ring, batch, cells)), np.zeros((ring, batch, model.proj_dim))
-    ds = np.empty((ring, batch, 4, cells))  # a step's gate errors, one row per live source
+    # A step's gate errors per live source: gate-major, and copied to (K, n, 4C) rows for w_r.
+    ds, ds_rows = np.empty((4, ring, batch, cells)), np.empty((ring, batch, 4, cells))
     for t in reversed(range(len(trace.blocks))):
         a, n, _ = trace.blocks[t]
-        b, dc_t, dr_t, ds_t = a + n, dc[:, :n], dr[:, :n], ds[:, :n]
+        b, dc_t, dr_t, ds_t, rows_t = a + n, dc[:, :n], dr[:, :n], ds[:, :, :n], ds_rows[:, :n]
         if truncate:  # slot t % k held the sources injected k steps later: they retire
             slot = t % ring
             dc_t[slot] = 0.0
@@ -275,13 +287,14 @@ def lstm_backward(model: LstmModel, trace: SequenceTrace, labels, weights: np.nd
         else:
             dr_t[0] += inject[a:b]
         dm = np.matmul(dr_t, model.w_rm)
-        dcell = dc_t + dm * d_cell[a:b]
-        np.multiply(dcell[:, :, None], d_ifg[a:b], out=ds_t[:, :, :3])
-        np.multiply(dm, d_o[a:b], out=ds_t[:, :, 3])
-        np.add.reduce(ds_t, axis=0, out=gate_sums[a:b])
+        dc_t += dm * d_cell[a:b]  # dcell, in place
+        np.multiply(dc_t, d_ifg[:, None, a:b], out=ds_t[:3])
+        np.multiply(dm, d_o[a:b], out=ds_t[3])
+        np.copyto(rows_t, ds_t.transpose(1, 2, 0, 3))
+        np.add.reduce(rows_t, axis=0, out=gate_sums[a:b])
         np.add.reduce(dr_t, axis=0, out=dr_sums[a:b])
-        np.multiply(dcell, d_carry[a:b], out=dc_t)
-        np.matmul(ds_t.reshape(ring, n, -1), w_r, out=dr_t)
+        dc_t *= d_carry[a:b]
+        np.matmul(rows_t.reshape(ring, n, -1), w_r, out=dr_t)
 
     sums = gate_sums.reshape(rows, 4 * cells)
     s_i, s_f, _, s_o = np.split(sums, 4, axis=1)

@@ -21,11 +21,16 @@ def softmax(logits: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -
     return np.maximum(e, TINY, out=e)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function evaluated without overflow on either tail.
 
     Equals 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) for x < 0,
-    bit for bit: with e = exp(-|x|) the first is 1 / (1 + e), the second e / (1 + e).
+    bit for bit: it is exp(min(x, 0)) / (1 + exp(-|x|)). ``x`` is an array (not a
+    scalar); the result goes to a new array or to ``out``, which may be ``x``.
     """
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = np.copysign(x, -1.0)
+    np.exp(e, out=e)
+    e += 1.0
+    y = np.minimum(x, 0.0, out=out)
+    np.exp(y, out=y)
+    return np.divide(y, e, out=y)

@@ -6,6 +6,7 @@ verifies.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,6 +38,123 @@ def reference_lstm_step(model, x, prev_c, prev_r):
     r = [sum(model.w_rm[k][j] * m[j] for j in range(nc)) for k in range(nr)]
     y = [model.b_y[n] + sum(model.w_yr[n][k] * r[k] for k in range(nr)) for n in range(nl)]
     return np.array(c), np.array(r), np.array(y)
+
+
+LSTM_PARAMS = ("w_ix", "w_fx", "w_cx", "w_ox", "w_ir", "w_rf", "w_cr", "w_or", "w_ic", "w_cf",
+               "w_oc", "b_i", "b_f", "b_c", "b_o", "w_rm", "w_yr", "b_y")
+
+
+def reference_lstm_forward(model, frames, state=None, lengths=None):
+    """The batched LSTMP forward as one loop over time-major blocks whose gates are
+    strided (n, 4, C) views, with a ``np.where`` sigmoid. Returns (logits, probs, trace);
+    the trace is a namespace with the (R, .) arrays :func:`reference_lstm_backward` reads."""
+
+    def sigmoid(x):
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+    frames = np.asarray(frames, dtype=np.float64)
+    rows, cells = frames.shape[0], model.num_cells
+    lengths = np.asarray([rows] if lengths is None else lengths)
+    batch = len(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    steps = np.arange(lengths.max())[:, None]
+    running = steps < lengths[order]
+    packed = (np.cumsum(lengths)[order] - lengths[order] + steps)[running]
+    active = running.sum(axis=1)
+    first = np.cumsum(active) - active
+    prev_rows = first + batch - np.r_[batch, active[:-1]]
+    blocks = list(zip(first.tolist(), active.tolist(), prev_rows.tolist()))
+    prev = np.arange(rows) + np.repeat(prev_rows - first, active)
+
+    w_x = np.concatenate([model.w_ix, model.w_fx, model.w_cx, model.w_ox])
+    w_r = np.concatenate([model.w_ir, model.w_rf, model.w_cr, model.w_or])
+    bias = np.concatenate([model.b_i, model.b_f, model.b_c, model.b_o])
+    x = frames[packed]
+    gates = x @ w_x.T + bias
+    c, r = np.empty((batch + rows, cells)), np.empty((batch + rows, model.proj_dim))
+    c[:batch] = np.zeros(cells) if state is None else state.c
+    r[:batch] = np.zeros(model.proj_dim) if state is None else state.r
+    hc, m = np.empty((2, rows, cells))
+    peep_if, w_oc = np.stack([model.w_ic, model.w_cf])[:, None], model.w_oc
+    w_r_t, w_rm_t, z_all = w_r.T, model.w_rm.T, gates.reshape(rows, 4, cells)
+    for a, n, p in blocks:
+        z, c0, c1, r0 = z_all[a:a + n], c[p:p + n], c[a + batch:a + batch + n], r[p:p + n]
+        z += np.dot(r0, w_r_t).reshape(z.shape)
+        i, f, g, o = gate = z.swapaxes(0, -2)
+        gate[:2] += peep_if * c0
+        gate[:2] = sigmoid(gate[:2])
+        np.tanh(g, out=g)
+        np.multiply(f, c0, out=c1)
+        c1 += i * g
+        o[:] = sigmoid(o + w_oc * c1)
+        h, mt = hc[a:a + n], m[a:a + n]
+        np.tanh(c1, out=h)
+        np.multiply(o, h, out=mt)
+        np.dot(mt, w_rm_t, out=r[a + batch:a + batch + n])
+    y = r[batch:] @ model.w_yr.T + model.b_y
+    unpack = np.argsort(packed)
+    logits = y[unpack]
+    np.subtract(y, y.max(axis=1, keepdims=True), out=y)
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
+    probs = np.maximum(y, np.finfo(np.float64).tiny, out=y)
+    i, f, g, o = np.split(gates, 4, axis=1)
+    trace = SimpleNamespace(x=x, lengths=lengths, packed=packed, blocks=blocks, i=i, f=f, g=g,
+                            o=o, hc=hc, m=m, c=c[batch:], r=r[batch:], prev_c=c[prev],
+                            prev_r=r[prev], probs=probs)
+    return logits, probs[unpack], trace
+
+
+def reference_lstm_backward(model, trace, labels, weights, unroll_k=None):
+    """Truncated-BPTT gradients of the weighted loss over a (``unroll_k``, B) ring of
+    carrier rows, whose gate errors are (K, n, 4, C) rows; returns the 18 gradients."""
+    rows, batch = len(trace.x), len(trace.lengths)
+    weights = np.asarray(weights, dtype=np.float64)
+    truncate = unroll_k is not None and unroll_k < len(trace.blocks)
+    ring = unroll_k if truncate else 1
+    cells = model.num_cells
+    w_r = np.concatenate([model.w_ir, model.w_rf, model.w_cr, model.w_or])
+
+    dy = trace.probs.copy()
+    dy[np.arange(rows), np.repeat(np.broadcast_to(labels, batch), trace.lengths)[trace.packed]] -= 1.0
+    dy *= weights[trace.packed, None]
+    inject = dy @ model.w_yr
+
+    i, f, g, o, hc = trace.i, trace.f, trace.g, trace.o, trace.hc
+    d_o = hc * o * (1.0 - o)
+    d_cell = o * (1.0 - hc ** 2) + d_o * model.w_oc
+    d_ifg = np.stack([g * i * (1.0 - i), trace.prev_c * f * (1.0 - f), i * (1.0 - g ** 2)], axis=1)
+    d_carry = f + d_ifg[:, 0] * model.w_ic + d_ifg[:, 1] * model.w_cf
+
+    gate_sums, dr_sums = np.empty((rows, 4, cells)), np.empty((rows, model.proj_dim))
+    dc, dr = np.zeros((ring, batch, cells)), np.zeros((ring, batch, model.proj_dim))
+    ds = np.empty((ring, batch, 4, cells))
+    for t in reversed(range(len(trace.blocks))):
+        a, n, _ = trace.blocks[t]
+        b, dc_t, dr_t, ds_t = a + n, dc[:, :n], dr[:, :n], ds[:, :n]
+        if truncate:
+            slot = t % ring
+            dc_t[slot] = 0.0
+            dr_t[slot] = inject[a:b]
+        else:
+            dr_t[0] += inject[a:b]
+        dm = np.matmul(dr_t, model.w_rm)
+        dcell = dc_t + dm * d_cell[a:b]
+        np.multiply(dcell[:, :, None], d_ifg[a:b], out=ds_t[:, :, :3])
+        np.multiply(dm, d_o[a:b], out=ds_t[:, :, 3])
+        np.add.reduce(ds_t, axis=0, out=gate_sums[a:b])
+        np.add.reduce(dr_t, axis=0, out=dr_sums[a:b])
+        np.multiply(dcell, d_carry[a:b], out=dc_t)
+        np.matmul(ds_t.reshape(ring, n, -1), w_r, out=dr_t)
+
+    sums = gate_sums.reshape(rows, 4 * cells)
+    s_i, s_f, _, s_o = np.split(sums, 4, axis=1)
+    values = [*np.split(sums.T @ trace.x, 4), *np.split(sums.T @ trace.prev_r, 4),
+              (s_i * trace.prev_c).sum(axis=0), (s_f * trace.prev_c).sum(axis=0),
+              (s_o * trace.c).sum(axis=0), *np.split(sums.sum(axis=0), 4),
+              dr_sums.T @ trace.m, dy.T @ trace.r, dy.sum(axis=0)]
+    return dict(zip(LSTM_PARAMS, values))
 
 
 def reference_inference_groups(lengths, budget):

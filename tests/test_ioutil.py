@@ -4,6 +4,8 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laf.corpus import Interval, save_corpus
 from laf.errors import ConfigError, CorpusFormatError
@@ -50,6 +52,32 @@ def test_json_floats_takes_only_finite_numbers():
     for bad in ([0.5, math.nan], [math.inf], [True], [10 ** 400], "0.5", [[1.0]]):
         with pytest.raises(CorpusFormatError, match="^w: must be"):
             json_floats(bad, "w")
+
+
+def per_value_floats(values, where):
+    """The rule json_floats states, applied one value at a time."""
+    return np.array([json_value(v, float, where) for v in json_value(values, list, where)],
+                    dtype=np.float64)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args).tobytes()
+    except Exception as exc:  # the exception type and message are the outcome
+        return type(exc), str(exc)
+
+
+FINITE = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 5e-324, 2 ** 53 + 1, 2 ** 1024 - 2 ** 971]))
+TOO_LARGE = st.integers(2 ** 1024 - 2 ** 970, 2 ** 1100).map(lambda v: v * (-1) ** (v % 2))
+MIXED = st.one_of(FINITE, st.floats(), st.booleans(), st.text(max_size=3), TOO_LARGE)
+
+
+@given(st.one_of(st.lists(FINITE, max_size=8),
+                 st.lists(st.one_of(MIXED, st.lists(MIXED, max_size=2)), max_size=8), MIXED))
+@settings(max_examples=400, deadline=None)
+def test_json_floats_matches_the_per_value_rule(values):
+    assert outcome(json_floats, values, "w") == outcome(per_value_floats, values, "w")
 
 
 def test_decode_f64_checks_the_shape():

@@ -16,7 +16,7 @@ from laf.lstm import (PARAM_FIELDS, LstmModel, LstmState, LstmTrainConfig, init_
 from laf.numerics import sigmoid, softmax
 from laf.synth import SynthSpec, generate_corpus
 
-from oracles import reference_lstm_step
+from oracles import reference_lstm_backward, reference_lstm_forward, reference_lstm_step
 
 
 def zero_model(d=2, nc=3, nr=2, nl=2):
@@ -106,7 +106,8 @@ def test_step_rejects_wrong_input_dim():
 
 def test_sigmoid_is_bitwise_the_stable_tail_formula():
     special = [0.0, 1e-300, 36.0, 745.0, np.inf]
-    x = np.array(special + [-v for v in special[1:]]
+    edges = [-0.0, 5e-324, -5e-324, 1e-310, -1e-310, np.inf, -np.inf]
+    x = np.array(special + [-v for v in special[1:]] + edges
                  + list(np.random.default_rng(0).normal(0, 30, 1000)))
     out = sigmoid(x)
     pos, neg = x >= 0, x < 0
@@ -115,6 +116,18 @@ def test_sigmoid_is_bitwise_the_stable_tail_formula():
     assert out[pos].tobytes() == expected_pos.tobytes()
     assert out[neg].tobytes() == expected_neg.tobytes()
     assert out[0] == 0.5 and out[4] == 1.0 and out[-1001] == 0.0
+    assert out[9] == 0.5 and np.signbit(x[9])  # -0.0 takes the x >= 0 branch
+    # in place, and in place on strided views, byte for byte the same
+    fresh = sigmoid(x.copy()).tobytes()
+    y = x.copy()
+    assert sigmoid(y, out=y) is y and y.tobytes() == fresh
+    interleaved = np.full(2 * len(x), 7.0)
+    interleaved[::2] = x
+    view = interleaved[::2]
+    sigmoid(view, out=view)
+    assert view.tobytes() == fresh and np.all(interleaved[1::2] == 7.0)
+    grid = np.ascontiguousarray(x.reshape(-1, 8).T).T  # a transposed (n, 8) view
+    assert sigmoid(grid, out=grid).tobytes() == fresh
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -346,6 +359,33 @@ def test_batch_matches_per_video_calls(lengths, labels):
                 summed[name] += grad
         for name in PARAM_FIELDS:
             np.testing.assert_allclose(batched[name], summed[name], rtol=1e-12, atol=1e-15)
+
+
+TRACE_VIEWS = ("i", "f", "g", "o", "hc", "m", "c", "r", "prev_c", "prev_r", "probs")
+
+
+@pytest.mark.parametrize("lengths, labels, unroll_k, start", [
+    ([5, 9, 1, 12, 5, 3], [2, 0, 3, 1, 2, 0], 9, False),  # unsorted, with ties and a 1-step video
+    ([2, 7, 4, 11], [1, 3, 3, 0], 4, False),  # lengths on both sides of unroll_k
+    ([6, 3, 8], [0, 2, 1], None, False),
+    ([10], [3], 3, True),  # one video from a start state
+])
+def test_kernels_are_bitwise_the_reference_loops(lengths, labels, unroll_k, start):
+    model = random_model(36, d=5, nc=6, nr=3, nl=4, scale=0.8)
+    rng = np.random.default_rng(36)
+    frames = rng.normal(0, 2, (sum(lengths), 5))
+    weights = rng.uniform(0.0, 1.0, sum(lengths))
+    state = LstmState(c=rng.normal(0, 2, 6), r=rng.normal(0, 2, 3)) if start else None
+    got = lstm_forward(model, frames, state, lengths=lengths)
+    want = reference_lstm_forward(model, frames, state, lengths)
+    pairs = [*zip(got[:2], want[:2]),
+             *((getattr(got[2], name), getattr(want[2], name)) for name in TRACE_VIEWS)]
+    grads = lstm_backward(model, got[2], labels, weights, unroll_k)
+    ref_grads = reference_lstm_backward(model, want[2], labels, weights, unroll_k)
+    assert list(grads) == list(ref_grads) == list(PARAM_FIELDS)
+    pairs += [(grads[name], ref_grads[name]) for name in PARAM_FIELDS]
+    for ours, theirs in pairs:
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
 
 
 def test_batch_probabilities_are_bitwise_the_softmax_of_its_logits():
