@@ -104,7 +104,8 @@ def max_pooled_scores(detections: DetectionTable, videos: Sequence[VideoSequence
 def evaluate(detections: DetectionTable | Sequence[Detection], videos: Sequence[VideoSequence],
              config: EvalConfig, num_labels: int,
              video_scores: Mapping[str, np.ndarray] | None = None) -> dict:
-    """Full report: Hit@k over videos plus mAP and per-label AP at each ratio."""
+    """Full report: Hit@k over videos plus mAP and per-label AP at each ratio. The table
+    is ranked once; each label's rows are then one slice, in :func:`detection_rank` order."""
     if not videos:
         raise ValidationError("evaluation needs a nonempty video set")
     table = DetectionTable.of(detections)
@@ -139,12 +140,9 @@ def evaluate(detections: DetectionTable | Sequence[Detection], videos: Sequence[
 
     gt = ground_truth_by_label(videos)
     gt_labels = sorted(gt)
-    # Rows by label, in table order within one; labels are checked to lie in [0, num_labels),
-    # so the narrowest unsigned type holds them and the stable sort is a radix sort.
-    grouped = np.argsort(table.label.astype(np.min_scalar_type(num_labels)), kind="stable")
-    bounds = np.searchsorted(table.label[grouped], [[label, label + 1] for label in gt_labels])
-    by_label = {label: table.take(grouped[first:last])
-                for label, (first, last) in zip(gt_labels, bounds)}
+    rank = detection_rank(table)  # average_precision finds each label's slice ranked
+    bounds = np.searchsorted(table.label[rank], [[label, label + 1] for label in gt_labels])
+    by_label = {label: table.take(rank[slice(*ends)]) for label, ends in zip(gt_labels, bounds)}
     per_label: dict[str, dict[str, float]] = {str(label): {} for label in gt_labels}
     for ratio in config.overlap_ratios:
         key = format(ratio, "g")

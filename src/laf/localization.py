@@ -153,12 +153,6 @@ def temporal_iou(start_a, end_a, start_b, end_b):
     return inter / ((end_a - start_a) + (end_b - start_b) - inter)
 
 
-def _greedy_order(starts: np.ndarray, ends: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """(W, N) window indices of each label in the NMS tie rule's order."""
-    by_start = np.lexsort((starts - ends, starts))
-    return by_start[np.argsort(-scores[by_start], axis=0, kind="stable")]
-
-
 def _neighbours(starts: np.ndarray, ends: np.ndarray, overlap: float) -> np.ndarray:
     """A (W, 2B) table whose row i lists the windows with IoU above ``overlap`` with
     window i, padded with W.
@@ -179,39 +173,41 @@ def _neighbours(starts: np.ndarray, ends: np.ndarray, overlap: float) -> np.ndar
 
 
 def _nms_mask(starts: np.ndarray, ends: np.ndarray, scores: np.ndarray,
-              overlap: float) -> np.ndarray:
-    """Greedy NMS of every label of one video at once: the (W, N) kept mask.
+              overlap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy NMS of every label of one video at once: the (N, W) rank order of each
+    label's windows, and the (N, W) mask of the kept ones in that order.
 
     Each label keeps its best remaining window and drops the windows whose IoU
     with it exceeds ``overlap``. The tie rule ranks a higher score first, then
     the earlier start, then the longer window, then input order. Rank position
     p is taken for all labels together: a window still alive at its rank is
     kept and clears its neighbours in that label. IoU is symmetric, so the
-    neighbours of an alive window are dead or ranked later, and the result is
-    the per-label greedy one.
+    neighbours of an alive window are dead or ranked later: the result is the
+    per-label greedy one, and the windows left alive are the kept ones.
     """
-    neighbours = _neighbours(starts, ends, overlap)
-    alive = np.ones((scores.shape[0] + 1, scores.shape[1]), dtype=bool)  # row W: padding
-    kept = np.zeros(scores.shape, dtype=bool)
-    columns = np.arange(scores.shape[1])
-    for windows in _greedy_order(starts, ends, scores):
-        labels = np.flatnonzero(alive[windows, columns])
+    by_start, columns = np.lexsort((starts - ends, starts)), np.arange(scores.shape[1])
+    order = by_start[np.argsort(-scores[by_start], axis=0, kind="stable")]  # (W, N)
+    cells = order * scores.shape[1]  # of the flat (W+1, N) alive, built in place
+    cells += columns
+    neighbours = _neighbours(starts, ends, overlap) * scores.shape[1]  # row W pads
+    alive = np.ones(cells.size + scores.shape[1], dtype=bool)
+    for windows, at_rank in zip(order, cells):
+        labels = alive[at_rank].nonzero()[0]
         if labels.size:
-            kept[windows[labels], labels] = True
-            alive[neighbours[windows[labels]], labels[:, None]] = False
-    return kept
+            alive[neighbours[windows[labels]] + labels[:, None]] = False
+    return order.T, alive[cells].T
 
 
 def temporal_nms(candidates: WindowScores | Sequence[Detection], nms_overlap: float):
     """Greedy suppression within each label, with the tie rule of :func:`_nms_mask`.
 
-    Window scores give a :class:`DetectionTable` of the kept (window, label)
-    pairs. A list of one label's detections gives the kept ones, by descending
-    score with the same tie rule.
+    Window scores give a :class:`DetectionTable` of the kept (window, label) pairs,
+    label by label in rank order: :func:`detection_rank` order for windows of one
+    length. A list of one label's detections gives the kept ones in rank order.
     """
     if isinstance(candidates, WindowScores):
-        windows, labels = np.nonzero(_nms_mask(candidates.start, candidates.end,
-                                               candidates.scores, nms_overlap))
+        order, kept = _nms_mask(candidates.start, candidates.end, candidates.scores, nms_overlap)
+        labels, windows = np.repeat(np.arange(len(kept)), kept.sum(axis=1)), order[kept]
         return DetectionTable((candidates.video_id,), np.zeros(len(windows), dtype=np.int64),
                               labels, candidates.start[windows], candidates.end[windows],
                               candidates.scores[windows, labels])
@@ -219,9 +215,8 @@ def temporal_nms(candidates: WindowScores | Sequence[Detection], nms_overlap: fl
     if len(labels) > 1:
         raise ValidationError(f"temporal_nms expects a single label, got {sorted(labels)}")
     table = DetectionTable.of(candidates)
-    scores = table.score[:, None]
-    kept = _nms_mask(table.start, table.end, scores, nms_overlap)[:, 0]
-    return [candidates[i] for i in _greedy_order(table.start, table.end, scores)[:, 0] if kept[i]]
+    order, kept = _nms_mask(table.start, table.end, table.score[:, None], nms_overlap)
+    return [candidates[i] for i in order[kept]]
 
 
 def localize(video_id: str, step_probs: np.ndarray, config: LocalizationConfig) -> DetectionTable:
@@ -261,8 +256,12 @@ def localize_videos(model: LstmModel, videos: Sequence[VideoSequence], config: L
 
 def detection_rank(table: DetectionTable) -> np.ndarray:
     """The one detection order, as row indices: by label, then descending score,
-    video id and start; stable, so full ties keep their order."""
-    return np.lexsort((table.start, table.video, -table.score, table.label))
+    video id and start; stable, so full ties keep their order. A table already in
+    this order, as :func:`temporal_nms` makes for one video, is found in O(n)."""
+    keys, ranked = (table.label, -table.score, table.video, table.start), True
+    for key in keys[::-1]:  # ranked[i]: rows i and i+1 in order on this key and the later ones
+        ranked = (key[:-1] < key[1:]) | ((key[:-1] == key[1:]) & ranked)  # never for a NaN
+    return np.arange(len(table)) if np.all(ranked) else np.lexsort(keys[::-1])
 
 
 DETECTION_CHUNK = 4096  # rows encoded at a time by the saver, lines parsed at once by the loader

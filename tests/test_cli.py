@@ -782,10 +782,20 @@ def test_seed_flag_changes_outputs(config_path, tmp_path):
 
 
 def test_pipeline_and_weighting_trial_compute_one_map(tmp_path):
+    run, shuffled = tmp_path / "run", tmp_path / "shuffled.jsonl"
     assert run_cli("pipeline", "--config", str(DESK_CONFIG), "--seed", "0",
-                   "--out-dir", str(tmp_path)) == 0
-    report = json.loads((tmp_path / "report.json").read_text())
+                   "--out-dir", str(run)) == 0
+    report = json.loads((run / "report.json").read_text())
     assert report["map_at"]["0.5"] == weighting_trial(0, modes=("laf",))["laf"]
+    # the same detections in shuffled line order evaluate to the same report bytes
+    lines = (run / "detections.jsonl").read_bytes().splitlines(keepends=True)
+    order = np.random.default_rng(32).permutation(len(lines))
+    shuffled.write_bytes(b"".join(lines[k] for k in order))
+    assert shuffled.read_bytes() != (run / "detections.jsonl").read_bytes()
+    assert run_cli("eval", "--config", str(DESK_CONFIG), "--seed", "0", "--detections",
+                   str(shuffled), "--corpus", str(run / "corpus.laf.bin"), "--scores",
+                   str(run / "video_scores.json"), "--out", str(tmp_path / "report.json")) == 0
+    assert (tmp_path / "report.json").read_bytes() == (run / "report.json").read_bytes()
 
 
 def test_weighting_trial_checks_the_ratio_before_any_work(monkeypatch):

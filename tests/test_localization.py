@@ -185,10 +185,12 @@ def test_nms_full_ties_keep_input_order():
 
 def test_localize_matches_brute_force_nms_on_every_label():
     rng = np.random.default_rng(10)
-    for case in range(300):
+    for case in range(600):
         steps, labels = int(rng.integers(1, 60)), int(rng.integers(1, 5))
-        # quantized scores: most windows tie with several others
-        probs = np.round(rng.random((steps, labels)) * 4) / 4
+        # odd cases: quantized scores, so most windows tie with several others
+        probs = rng.random((steps, labels))
+        if case % 2:
+            probs = np.round(probs * 4) / 4
         config = LocalizationConfig(window_len=int(rng.integers(1, 15)),
                                     window_stride=int(rng.integers(1, 4)),
                                     nms_overlap=float(rng.choice([0.0, 0.2, 0.5, 0.7, 0.95])))
@@ -200,6 +202,7 @@ def test_localize_matches_brute_force_nms_on_every_label():
                           for s in range(0, steps - length + 1, config.window_stride)]
             assert of_label(result, label) == brute_force_nms(candidates, config.nms_overlap), case
         assert len(result) == sum(len(of_label(result, label)) for label in range(labels))
+        assert np.array_equal(detection_rank(result), np.arange(len(result))), case
 
 
 def test_nms_neighbour_graph_memory_is_banded():
@@ -302,6 +305,38 @@ def test_localize_rejects_dim_mismatch():
 
 
 # --- detections file --------------------------------------------------------
+
+RANK_KEYS = ("label", "score", "video", "start")
+
+
+@st.composite
+def detection_tables(draw):
+    """Up to 40 rows over three videos, every key drawn from a few values so that each
+    ties often, scores 0.0 and -0.0 among them; some tables come sorted on all rank
+    keys but one, the rest in drawn order."""
+    size = draw(st.integers(0, 40))
+
+    def column(values, dtype=np.int64):
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=size, max_size=size)),
+                        dtype=dtype)
+
+    video, label, start, score = column([0, 1, 2]), column([0, 1, 2]), column([0, 1, 2, 3]), \
+        column([0.0, -0.0, 0.5, 1.0], np.float64)
+    table = DetectionTable(("a", "b", "c"), video, label, start, start + 1, score)
+    keys = dict(label=table.label, score=-table.score, video=table.video, start=table.start)
+    dropped = draw(st.sampled_from([None, *RANK_KEYS]))
+    if dropped is None:
+        return table
+    return table.take(np.lexsort([keys[k] for k in RANK_KEYS[::-1] if k != dropped]))
+
+
+@given(detection_tables())
+@settings(max_examples=300, deadline=None)
+def test_detection_rank_is_the_stable_lexsort_and_the_identity_on_ranked_tables(table):
+    expected = np.lexsort((table.start, table.video, -table.score, table.label))
+    assert np.array_equal(detection_rank(table), expected)
+    assert np.array_equal(detection_rank(table.take(expected)), np.arange(len(table)))
+
 
 def test_detection_with_numpy_integer_bounds_saves_and_loads_equal(tmp_path):
     start, label = np.random.default_rng(3).integers(0, 50, size=2)
