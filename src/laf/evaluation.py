@@ -112,14 +112,15 @@ def evaluate(detections: DetectionTable | Sequence[Detection], videos: Sequence[
     steps = {video.id: video.num_steps for video in videos}
     limit = np.array([steps.get(vid, -1) for vid in table.videos], dtype=np.int64)[table.video]
     bad = (limit < 0) | (table.label < 0) | (table.label >= num_labels) | (table.end > limit)
-    for det in table.take(bad):  # the first bad detection raises
-        if det.video_id not in steps:
-            raise ValidationError(f"detection references unknown video id {det.video_id!r}")
-        if not 0 <= det.label < num_labels:
-            raise ValidationError(f"detection label {det.label} on {det.video_id!r} "
-                                  f"outside [0, {num_labels})")
-        raise ValidationError(f"detection [{det.interval.start}, {det.interval.end}) exceeds "
-                              f"the {steps[det.video_id]} steps of {det.video_id!r}")
+    if bad.any():  # the first bad row raises
+        row = int(np.argmax(bad))
+        vid, label = table.videos[table.video[row]], int(table.label[row])
+        if vid not in steps:
+            raise ValidationError(f"detection references unknown video id {vid!r}")
+        if not 0 <= label < num_labels:
+            raise ValidationError(f"detection label {label} on {vid!r} outside [0, {num_labels})")
+        raise ValidationError(f"detection [{table.start[row]}, {table.end[row]}) exceeds "
+                              f"the {steps[vid]} steps of {vid!r}")
 
     if video_scores is not None:
         missing = [v.id for v in videos if v.id not in video_scores]

@@ -21,15 +21,15 @@ def encode_f64(values: np.ndarray) -> str:
     return base64.b64encode(arr.tobytes()).decode("ascii")
 
 
-def decode_f64(text: str, where: str = "", shape: tuple | None = None) -> np.ndarray:
-    """Inverse of :func:`encode_f64`; a read-only float64 array, 1-D or of ``shape``."""
+def decode_f64(text: str, where: str, shape: tuple) -> np.ndarray:
+    """Inverse of :func:`encode_f64`; a read-only float64 array of ``shape``."""
     try:
         flat = np.frombuffer(base64.b64decode(text.encode("ascii"), validate=True), dtype="<f8")
     except (AttributeError, ValueError) as exc:  # not ASCII base64 of whole float64 values
         raise CorpusFormatError(f"{where}: invalid base64 float64 data ({exc})") from exc
-    if shape is not None and (min(shape) < 0 or flat.size != math.prod(shape)):
+    if min(shape) < 0 or flat.size != math.prod(shape):
         raise CorpusFormatError(f"{where}: {flat.size} values, expected shape {shape}")
-    return flat if shape is None else flat.reshape(shape)
+    return flat.reshape(shape)
 
 
 JSON_KINDS = {bool: "a JSON boolean", int: "a JSON integer", float: "a finite JSON number",

@@ -97,12 +97,6 @@ class DetectionTable:
     def __len__(self) -> int:
         return len(self.score)
 
-    def __iter__(self):
-        """The rows as :class:`Detection` objects, for callers off the hot path."""
-        videos, *columns = vars(self).values()
-        for code, label, start, end, score in zip(*(c.tolist() for c in columns)):
-            yield Detection(videos[code], label, Interval(start, end), score)
-
     def take(self, rows) -> DetectionTable:
         videos, *columns = vars(self).values()
         return DetectionTable(videos, *(column[rows] for column in columns))

@@ -7,9 +7,9 @@ the surviving images prunes the frame set with theta2. After each round a
 fresh frame-side classifier is scored on the validation videos (frame-level
 probabilities averaged per video); the loop stops when that accuracy drops
 below the best seen so far, or after max_iterations. The image-side
-classifier from the best round becomes the LAF proposal model, and its
-probability for a video's own label at every step of every training video is
-that step's LAF weight.
+classifier from the best round (the first logged with the highest accuracy)
+becomes the LAF proposal model, and its probability for a video's own label at
+every step of every training video is that step's LAF weight.
 
 A side whose pool a filter left whole keeps its classifier (and the frame
 side its accuracy): a fit is deterministic in its rows, their order and the
@@ -27,6 +27,8 @@ from .classifier import (Classifier, ClassifierTrainConfig, predict_softmax_many
                          scores_for_labels, train_classifier)
 from .corpus import Corpus, VideoSequence, WebImage
 from .errors import TransferCollapseError, ValidationError
+from .evaluation import hit_at_k
+from .localization import classify_video
 
 
 @dataclass(frozen=True)
@@ -126,26 +128,18 @@ def filter_scores(features: np.ndarray, labels: np.ndarray, clf: Classifier, the
 
 
 def validation_accuracy(clf: Classifier, validation_videos: Sequence[VideoSequence]) -> float:
-    """Video accuracy under frame-probability averaging; argmax ties go to the lowest label."""
+    """Video accuracy: :func:`hit_at_k` at k=1 (its tie rule) of each video's
+    :func:`classify_video` fusion of its frame probabilities."""
     if not validation_videos:
         raise ValidationError("validation accuracy needs a nonempty video set")
-    correct = 0
-    for video in validation_videos:
-        fused = predict_softmax_many(clf, video.frames).mean(axis=0)
-        if int(np.argmax(fused)) == video.label:
-            correct += 1
-    return correct / len(validation_videos)
+    fused = [classify_video(predict_softmax_many(clf, video.frames)) for video in validation_videos]
+    return hit_at_k(np.stack(fused), np.asarray([video.label for video in validation_videos]), 1)
 
 
 def laf_scores_for_video(proposal_model: Classifier, video: VideoSequence) -> np.ndarray:
     """Per-step weights: the model's probability for the video's own label at each step,
     from :func:`scores_for_labels` as the filters get theirs."""
     return scores_for_labels(proposal_model, video.frames, np.full(video.num_steps, video.label))
-
-
-def _max_removed(scores: np.ndarray, keep: np.ndarray) -> float | None:
-    removed = scores[~keep]
-    return float(removed.max()) if removed.size else None
 
 
 def run_domain_transfer(corpus: Corpus, config: TransferConfig) -> LafResult:
@@ -160,6 +154,15 @@ def run_domain_transfer(corpus: Corpus, config: TransferConfig) -> LafResult:
     def fit(features: np.ndarray, labels: np.ndarray) -> Classifier:
         return train_classifier(features, labels, corpus.num_labels, config.classifier_config)
 
+    def prune(pool, features, labels, clf: Classifier, theta: float, name: str, iteration: int):
+        """The rows of ``pool`` the filter keeps, and the best removed score (None if none)."""
+        keep, scores = filter_scores(features[pool], labels[pool], clf, theta,
+                                     config.min_items_per_label)
+        if not keep.any():
+            raise TransferCollapseError(f"transfer collapsed: {name} empty at iteration {iteration}")
+        removed = scores[~keep]
+        return pool[keep], float(removed.max()) if removed.size else None
+
     # Both pools are fixed arrays; a round only shrinks the index arrays into them.
     image_features = np.stack([img.feature for img in corpus.images])
     image_labels = np.asarray([img.label for img in corpus.images])
@@ -173,31 +176,19 @@ def run_domain_transfer(corpus: Corpus, config: TransferConfig) -> LafResult:
     frame_model, image_model, accuracy = fit(frame_features, frame_labels), None, None
 
     log: list[TransferIterationLog] = []
-    best_accuracy = -np.inf
-    best_model: Classifier | None = None
-    best_images = images
-
+    rounds: list[tuple[Classifier, np.ndarray]] = []  # each round's image model and pool
     for iteration in range(1, config.max_iterations + 1):
         # Frames -> images: prune the web pool with the frame-trained model.
-        keep, scores = filter_scores(image_features[images], image_labels[images], frame_model,
-                                     config.theta1, config.min_items_per_label)
-        max_removed_image = _max_removed(scores, keep)
-        images = images[keep]
-        if not images.size:
-            raise TransferCollapseError(f"transfer collapsed: image pool empty at iteration {iteration}")
+        images, max_removed_image = prune(images, image_features, image_labels, frame_model,
+                                          config.theta1, "image pool", iteration)
         if image_model is None or max_removed_image is not None:
             image_model = fit(image_features[images], image_labels[images])
 
         # Images -> frames: prune the frame set with the image-trained model.
-        keep, scores = filter_scores(frame_features[frames], frame_labels[frames], image_model,
-                                     config.theta2, config.min_items_per_label)
-        max_removed_frame = _max_removed(scores, keep)
-        frames = frames[keep]
-        if not frames.size:
-            raise TransferCollapseError(f"transfer collapsed: frame set empty at iteration {iteration}")
+        frames, max_removed_frame = prune(frames, frame_features, frame_labels, image_model,
+                                          config.theta2, "frame set", iteration)
 
-        # Retrain on the pruned frames: next round's filter and this round's
-        # validation model.
+        # Refit on the pruned frames: next round's filter and this round's validation model.
         if max_removed_frame is not None:
             frame_model, accuracy = fit(frame_features[frames], frame_labels[frames]), None
         if accuracy is None:
@@ -210,15 +201,12 @@ def run_domain_transfer(corpus: Corpus, config: TransferConfig) -> LafResult:
             max_removed_image_score=max_removed_image,
             max_removed_frame_score=max_removed_frame,
         ))
-
-        if accuracy > best_accuracy:
-            best_accuracy = accuracy
-            best_model = image_model
-            best_images = images
-        elif accuracy < best_accuracy:
+        rounds.append((image_model, images))
+        if accuracy < max(entry.validation_accuracy for entry in log):
             break
 
-    assert best_model is not None
-    weights = {video.id: laf_scores_for_video(best_model, video) for video in videos}
-    return LafResult(proposal_model=best_model, laf_weights=weights, log=log,
-                     image_pool=tuple(corpus.images[i] for i in best_images))
+    best = max(log, key=lambda entry: entry.validation_accuracy).iteration
+    proposal_model, pool = rounds[best - 1]
+    weights = {video.id: laf_scores_for_video(proposal_model, video) for video in videos}
+    return LafResult(proposal_model=proposal_model, laf_weights=weights, log=log,
+                     image_pool=tuple(corpus.images[i] for i in pool))

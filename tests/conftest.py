@@ -11,6 +11,14 @@ from laf.localization import Detection
 MULTI_VIDEO_IDS = ("b", "a\u00e9", "a")
 
 
+def table_rows(table) -> list[Detection]:
+    """The rows of a detection table as :class:`Detection` objects, read from its columns."""
+    ids = [table.videos[code] for code in table.video.tolist()]
+    columns = (getattr(table, name).tolist() for name in ("label", "start", "end", "score"))
+    return [Detection(vid, label, Interval(start, end), score)
+            for vid, label, start, end, score in zip(ids, *columns)]
+
+
 def traced_peak(fn):
     """``fn()``'s result and the peak memory ``tracemalloc`` traced while it ran."""
     tracemalloc.start()

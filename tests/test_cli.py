@@ -23,7 +23,7 @@ from laf.config import run_config_from_dict
 from laf.experiments import DESK_CONFIG, weighting_trial
 from laf.pipeline import training_videos_for_mode
 
-from conftest import edit_corpus_lines
+from conftest import edit_corpus_lines, table_rows
 from oracles import line_by_line_brace_check, reference_inference_groups
 
 TINY = {
@@ -207,7 +207,7 @@ def test_localize_covers_every_test_video(config_path, tmp_path):
     annotated, _, detections_path = full_chain(config_path, tmp_path)
     detections = load_detections(detections_path)
     corpus = load_corpus(annotated)
-    assert {d.video_id for d in detections} == {v.id for v in corpus.test_videos}
+    assert {d.video_id for d in table_rows(detections)} == {v.id for v in corpus.test_videos}
     scores = json.loads((tmp_path / "detections.jsonl.scores.json").read_text())
     assert set(scores) == {v.id for v in corpus.test_videos}
     for vec in scores.values():
@@ -352,8 +352,8 @@ def test_valid_detections_read_by_the_line_parser(case, config_path, tmp_path, m
     assert parsed == []
     loaded = load_detections(slow)
     assert parsed == [slow]
-    assert list(loaded) == [Detection(vid, label, Interval(start, end), score)
-                            for vid, label, start, end, score in ROWS]
+    assert table_rows(loaded) == [Detection(vid, label, Interval(start, end), score)
+                                  for vid, label, start, end, score in ROWS]
     assert loaded.videos == ("a", "b", "v{1")
     assert_same_table(loaded, expected)
 
@@ -384,7 +384,7 @@ def test_lines_ending_in_whitespace_are_read_by_the_one_parse(ending, tmp_path, 
 def outcome(load, path):
     """What ``load`` makes of ``path``: its rows, or its error's type and message."""
     try:
-        return [*load(path)]
+        return table_rows(load(path))
     except LafError as exc:
         return type(exc), str(exc)
 

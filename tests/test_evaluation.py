@@ -249,8 +249,15 @@ def test_perfect_detections_give_full_map():
 
 
 def test_unknown_video_id_rejected():
-    with pytest.raises(ValidationError, match="unknown video"):
-        evaluate([det(0, 5, 1.0, video="nope")], eval_videos(), EvalConfig(), 2)
+    cases = [([det(0, 5, 1.0, video="nope")], "detection references unknown video id 'nope'"),
+             ([det(0, 5, 1.0, label=2, video="test-1")],
+              "detection label 2 on 'test-1' outside [0, 2)"),
+             ([det(0, 5, 1.0, video="test-0"), det(4, 13, 0.5, label=1, video="test-1"),
+               det(0, 5, 1.0, video="nope")], "detection [4, 13) exceeds the 12 steps of 'test-1'")]
+    for detections, message in cases:  # the first bad row names the error
+        with pytest.raises(ValidationError) as info:
+            evaluate(detections, eval_videos(), EvalConfig(), 2)
+        assert str(info.value) == message
 
 
 def test_hit_at_k_uses_provided_fusion_scores():

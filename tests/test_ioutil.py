@@ -84,7 +84,7 @@ def test_decode_f64_checks_the_shape():
     values = np.arange(6.0).reshape(2, 3)
     text = encode_f64(values)
     assert decode_f64(text, "p", (2, 3)).tobytes() == values.tobytes()
-    assert decode_f64(text).shape == (6,)
+    assert decode_f64(text, "p", (6,)).shape == (6,)
     for shape in ((3, 3), (6, 1, 2), (-2, -3)):
         with pytest.raises(CorpusFormatError, match=r"^p: 6 values, expected shape"):
             decode_f64(text, "p", shape)

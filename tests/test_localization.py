@@ -17,7 +17,7 @@ from laf.localization import (DETECTION_CHUNK, Detection, DetectionTable, Locali
 from laf.lstm import LstmTrainConfig, lstm_forward, train_lstm
 from laf.synth import SynthSpec, generate_corpus
 
-from conftest import multi_video_detections, traced_peak
+from conftest import multi_video_detections, table_rows, traced_peak
 from oracles import brute_force_nms, reference_grouped_probs, reference_inference_groups
 
 
@@ -31,7 +31,7 @@ def iou(a, b):
 
 def of_label(table, label):
     """One label's rows of a detection table as Detections, best first."""
-    return [d for d in table.take(detection_rank(table)) if d.label == label]
+    return [d for d in table_rows(table.take(detection_rank(table))) if d.label == label]
 
 
 # --- average fusion ---------------------------------------------------------
@@ -283,7 +283,8 @@ def test_localize_is_deterministic():
     corpus, model = trained_localizer()
     video = corpus.test_videos[0]
     config = LocalizationConfig()
-    assert list(localize_video(model, video, config)) == list(localize_video(model, video, config))
+    assert table_rows(localize_video(model, video, config)) == \
+        table_rows(localize_video(model, video, config))
 
 
 def test_localize_depends_on_frame_order():
@@ -292,8 +293,8 @@ def test_localize_depends_on_frame_order():
     reversed_video = dataclasses.replace(video, frames=video.frames[::-1].copy(),
                                          gt_segments=None)
     config = LocalizationConfig()
-    assert list(localize_video(model, video, config)) != \
-        list(localize_video(model, reversed_video, config))
+    assert table_rows(localize_video(model, video, config)) != \
+        table_rows(localize_video(model, reversed_video, config))
 
 
 def test_localize_rejects_dim_mismatch():
@@ -344,7 +345,7 @@ def test_detection_with_numpy_integer_bounds_saves_and_loads_equal(tmp_path):
     assert type(detection.interval.start) is int and type(detection.interval.end) is int
     path = tmp_path / "det.jsonl"
     save_detections([detection], path)
-    assert list(load_detections(path)) == [detection]
+    assert table_rows(load_detections(path)) == [detection]
 
 
 def test_detections_round_trip_and_ordering(tmp_path):
@@ -352,7 +353,7 @@ def test_detections_round_trip_and_ordering(tmp_path):
                   det(5, 15, 0.25, label=1, video="a")]
     path = tmp_path / "det.jsonl"
     save_detections(detections, path)
-    loaded = list(load_detections(path))
+    loaded = table_rows(load_detections(path))
     assert loaded == [det(3, 9, 0.75, label=0, video="a"), det(0, 10, 0.5, label=1, video="b"),
                       det(5, 15, 0.25, label=1, video="a")]
     labels = [d.label for d in loaded]
@@ -365,7 +366,7 @@ def test_round_trip_orders_tied_detections_of_several_videos_by_id(tmp_path):
         detections = multi_video_detections(rng, int(rng.integers(3, 15)), labels=3)
         path = tmp_path / f"det{case}.jsonl"
         save_detections(detections, path)
-        assert list(load_detections(path)) == sorted(
+        assert table_rows(load_detections(path)) == sorted(
             detections, key=lambda d: (d.label, -d.score, d.video_id, d.interval.start))
 
 
@@ -377,9 +378,9 @@ def test_parse_at_once_reads_what_the_line_parser_reads(tmp_path, monkeypatch):
                      b'{"video_id":"a\\u00e9","label":0,"start":3,"end":9,"score":0.75}\r\n'
                      b'{"score":-0.0,"end":4,"start":1,"label":0,"video_id":"b"}\n\n' + many)
     expected = load_detection_lines(path)
-    assert list(expected)[:3] == [det(0, 10, 2.0, label=1, video="b"),
-                                  det(3, 9, 0.75, label=0, video="a\u00e9"),
-                                  det(1, 4, -0.0, label=0, video="b")]
+    assert table_rows(expected)[:3] == [det(0, 10, 2.0, label=1, video="b"),
+                                        det(3, 9, 0.75, label=0, video="a\u00e9"),
+                                        det(1, 4, -0.0, label=0, video="b")]
     monkeypatch.setattr("laf.localization.load_detection_lines", None)  # no line-parser fallback
     loaded = load_detections(path)
     assert len(loaded) == 5003
@@ -404,7 +405,8 @@ def test_save_detections_writes_compact_json_lines_across_chunks(tmp_path):
     table = random_table(np.random.default_rng(29), 3 * DETECTION_CHUNK + 123)
     path = tmp_path / "det.jsonl"
     save_detections(table, path)
-    ranked = sorted(table, key=lambda d: (d.label, -d.score, d.video_id, d.interval.start))
+    ranked = sorted(table_rows(table),
+                    key=lambda d: (d.label, -d.score, d.video_id, d.interval.start))
     expected = "".join(json.dumps({"video_id": d.video_id, "label": d.label,
                                    "start": d.interval.start, "end": d.interval.end,
                                    "score": d.score}, separators=(",", ":")) + "\n"
@@ -475,7 +477,7 @@ def test_localize_videos_covers_every_test_video():
     calls = check_grouped_inference(model, corpus.test_videos, config, localization.INFERENCE_ROWS)
     assert calls == [sorted((v.num_steps for v in corpus.test_videos), reverse=True)]
     detections, _ = localize_videos(model, corpus.test_videos, config)
-    assert {d.video_id for d in detections} == {v.id for v in corpus.test_videos}
+    assert {d.video_id for d in table_rows(detections)} == {v.id for v in corpus.test_videos}
 
 
 def test_config_validation():

@@ -241,12 +241,14 @@ def test_a_pool_is_refit_only_when_a_filter_changed_it(seed, monkeypatch):
                         lambda features, *args: fits.append(len(features))
                         or train_classifier(features, *args))
     config = experiment_config(seed)
-    log = run_domain_transfer(generate_corpus(config.synth), config.transfer).log
+    result = run_domain_transfer(generate_corpus(config.synth), config.transfer)
     assert [(e.size_images, e.size_frames, e.validation_accuracy, e.max_removed_image_score,
-             e.max_removed_frame_score) for e in log] == DESK_LOGS[seed]
+             e.max_removed_frame_score) for e in result.log] == DESK_LOGS[seed]
     # The starting frame model, then an image and a frame fit in each round that removed some:
     # 5 and 3 fits where refitting every round made 13.
     assert fits[1:] == {0: [164, 161, 152, 153], 1009: [134, 136]}[seed]
+    # Every round ties in accuracy, so the first round's pool is returned.
+    assert len(result.image_pool) == DESK_LOGS[seed][0][0]
 
 
 def test_best_iteration_model_is_returned():
@@ -283,8 +285,11 @@ def test_identical_domains_with_zero_thresholds_keep_everything():
 
 def test_collapse_raises():
     corpus = small_corpus()
-    with pytest.raises(TransferCollapseError, match="transfer collapsed"):
-        run_domain_transfer(corpus, transfer_config(theta1=1.0, min_items_per_label=0))
+    for theta1, theta2, pool in ((1.0, 0.5, "image pool"), (0.0, 1.0, "frame set")):
+        config = transfer_config(theta1=theta1, theta2=theta2, min_items_per_label=0)
+        with pytest.raises(TransferCollapseError) as info:
+            run_domain_transfer(corpus, config)
+        assert str(info.value) == f"transfer collapsed: {pool} empty at iteration 1"
 
 
 def test_preconditions():
