@@ -87,19 +87,10 @@ def scores_for_labels(clf: Classifier, features: np.ndarray, labels: np.ndarray)
     return probs[np.arange(len(labels)), labels]
 
 
-def cross_entropy_loss(weights: np.ndarray, biases: np.ndarray, features: np.ndarray,
-                       labels: np.ndarray, l2_penalty: float) -> float:
-    """Mean negative log-likelihood plus (l2/2) * squared norm of all parameters."""
-    probs = softmax(features @ weights.T + biases, axis=1)
-    nll = -np.log(probs[np.arange(len(labels)), labels])
-    reg = 0.5 * l2_penalty * (np.sum(weights ** 2) + np.sum(biases ** 2))
-    return float(np.mean(nll) + reg)
-
-
 def cross_entropy_gradient(weights: np.ndarray, biases: np.ndarray, features: np.ndarray,
                            labels: np.ndarray, l2_penalty: float) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of :func:`cross_entropy_loss` wrt weights and biases, worked in
-    place with the operations of ``delta.T @ x / n + l2 * W`` in their order."""
+    """Gradient wrt weights and biases of the mean NLL plus (l2/2) * squared norm, worked
+    in place with the operations of ``delta.T @ x / n + l2 * W`` in their order."""
     n = len(labels)
     delta = features @ weights.T
     delta += biases

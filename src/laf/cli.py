@@ -6,11 +6,12 @@ Subcommands mirror the pipeline stages and are composable through files:
     laf transfer --config cfg.json --corpus corpus.bin --out corpus.laf.bin
     laf train    --config cfg.json --corpus corpus.laf.bin --mode laf --out lstm.json
     laf localize --config cfg.json --checkpoint lstm.json --corpus corpus.laf.bin --out det.jsonl
-    laf eval     --config cfg.json --detections det.jsonl --corpus corpus.laf.bin --out report.json
+    laf eval     --config cfg.json --detections det.jsonl --corpus corpus.laf.bin \\
+                 --scores det.jsonl.scores.json --out report.json
     laf pipeline --config cfg.json --out-dir run/
 
 ``--seed`` overrides every stage seed from the config. Exit codes: 0 success,
-1 validation error, 2 I/O error.
+1 validation error, 2 I/O or usage error.
 """
 
 from __future__ import annotations
@@ -68,8 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--detections", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--scores", help="average-fusion scores from localize; "
-                                    "hit@k falls back to max detection scores when omitted")
+    p.add_argument("--scores", required=True, help="average-fusion video scores from localize")
     p.add_argument("--out", required=True, help="metrics report output path (JSON)")
 
     p = sub.add_parser("pipeline", help="run synth/transfer/train/localize/eval in sequence")
@@ -112,7 +112,7 @@ def run(args: argparse.Namespace) -> None:
                                                 _default(args.scores_out, args.out, ".scores.json"))
         print(f"wrote {len(detections)} detections to {args.out}")
     elif args.command == "eval":
-        report = pipeline.stage_eval(config, args.detections, args.corpus, args.out, args.scores)
+        report = pipeline.stage_eval(config, args.detections, args.corpus, args.scores, args.out)
         print(format_report_table(report))
     elif args.command == "pipeline":
         report = pipeline.run_pipeline(config, args.out_dir, args.mode)

@@ -29,6 +29,11 @@ class EvalConfig:
             raise ValidationError("hit_ks must be positive integers")
         if not self.overlap_ratios or any(not (0.0 < r <= 1.0) for r in self.overlap_ratios):
             raise ValidationError("overlap ratios must lie in (0, 1]")
+        if len(set(self.hit_ks)) < len(self.hit_ks):
+            raise ValidationError(f"hit_ks repeat a value: {list(self.hit_ks)}")
+        keys = [format(r, "g") for r in self.overlap_ratios]  # the report's map_at keys
+        if len(set(keys)) < len(keys):
+            raise ValidationError(f"overlap_ratios repeat a report key: {keys}")
 
 
 def hit_at_k(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
@@ -87,28 +92,13 @@ def ground_truth_by_label(videos: Sequence[VideoSequence]) -> dict[int, dict[str
     return grouped
 
 
-def max_pooled_scores(detections: DetectionTable, videos: Sequence[VideoSequence],
-                      num_labels: int) -> np.ndarray:
-    """Fallback video-level scores: the best detection score per (video, label).
-
-    Used when average-fusion scores were not saved alongside the detections;
-    videos without any detection for a label keep score 0. Ids no row uses may be unknown.
-    """
-    index = {video.id: row for row, video in enumerate(videos)}
-    scores = np.zeros((len(videos), num_labels))
-    rows = np.array([index.get(vid, len(videos)) for vid in detections.videos], dtype=np.intp)
-    np.maximum.at(scores, (rows[detections.video], detections.label), detections.score)
-    return scores
-
-
-def evaluate(detections: DetectionTable | Sequence[Detection], videos: Sequence[VideoSequence],
-             config: EvalConfig, num_labels: int,
-             video_scores: Mapping[str, np.ndarray] | None = None) -> dict:
-    """Full report: Hit@k over videos plus mAP and per-label AP at each ratio. The table
-    is ranked once; each label's rows are then one slice, in :func:`detection_rank` order."""
+def evaluate(table: DetectionTable, videos: Sequence[VideoSequence], config: EvalConfig,
+             num_labels: int, video_scores: Mapping[str, np.ndarray]) -> dict:
+    """Full report: Hit@k of each video's average-fusion ``video_scores`` plus mAP and
+    per-label AP at each ratio. The table is ranked once; each label's rows are then one
+    slice, in :func:`detection_rank` order."""
     if not videos:
         raise ValidationError("evaluation needs a nonempty video set")
-    table = DetectionTable.of(detections)
     steps = {video.id: video.num_steps for video in videos}
     limit = np.array([steps.get(vid, -1) for vid in table.videos], dtype=np.int64)[table.video]
     bad = (limit < 0) | (table.label < 0) | (table.label >= num_labels) | (table.end > limit)
@@ -122,17 +112,14 @@ def evaluate(detections: DetectionTable | Sequence[Detection], videos: Sequence[
         raise ValidationError(f"detection [{table.start[row]}, {table.end[row]}) exceeds "
                               f"the {steps[vid]} steps of {vid!r}")
 
-    if video_scores is not None:
-        missing = [v.id for v in videos if v.id not in video_scores]
-        if missing:
-            raise ValidationError(f"missing classification scores for videos: {missing[:5]}")
-        rows = [np.asarray(video_scores[v.id], dtype=np.float64) for v in videos]
-        if any(row.shape != (num_labels,) or not np.isfinite(row).all() for row in rows):
-            raise ValidationError(f"classification scores must be a finite "
-                                  f"({len(videos)}, {num_labels}) matrix")
-        scores = np.stack(rows)
-    else:
-        scores = max_pooled_scores(table, videos, num_labels)
+    missing = [v.id for v in videos if v.id not in video_scores]
+    if missing:
+        raise ValidationError(f"missing classification scores for videos: {missing[:5]}")
+    rows = [np.asarray(video_scores[v.id], dtype=np.float64) for v in videos]
+    if any(row.shape != (num_labels,) or not np.isfinite(row).all() for row in rows):
+        raise ValidationError(f"classification scores must be a finite "
+                              f"({len(videos)}, {num_labels}) matrix")
+    scores = np.stack(rows)
     labels = np.asarray([video.label for video in videos])
 
     report: dict = {"hit_at": {}, "map_at": {}, "per_label_ap": {}}

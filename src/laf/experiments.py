@@ -55,7 +55,7 @@ def weighting_trial(seed: int, modes: tuple[str, ...] = TRAIN_MODES,
     for mode in modes:
         model, _ = stage_train(config, corpus, mode)
         detections, fused = stage_localize(config, model, corpus)
-        report = stage_eval(config, detections, corpus, scores=fused)
+        report = stage_eval(config, detections, corpus, fused)
         (scores[mode],) = report["map_at"].values()
     return scores
 

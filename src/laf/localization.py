@@ -261,11 +261,10 @@ def detection_rank(table: DetectionTable) -> np.ndarray:
 DETECTION_CHUNK = 4096  # rows encoded at a time by the saver, lines parsed at once by the loader
 
 
-def save_detections(detections: DetectionTable | Iterable[Detection], path: str | Path) -> None:
+def save_detections(table: DetectionTable, path: str | Path) -> None:
     """JSON Lines in :func:`detection_rank` order, each line as ``json.dumps`` with
     compact separators writes the record, formatted from the columns and encoded
     :data:`DETECTION_CHUNK` rows at a time; each chunk is written as it is encoded."""
-    table = DetectionTable.of(detections)
     rank = detection_rank(table)
     quoted = [json.dumps(vid) for vid in table.videos]
 

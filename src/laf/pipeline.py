@@ -122,13 +122,13 @@ def stage_localize(config: RunConfig, model: LstmModel | Source, corpus: Corpus 
 
 
 def stage_eval(config: RunConfig, detections: DetectionTable | Source, corpus: Corpus | Source,
-               out_report: Source | None = None,
-               scores: dict[str, np.ndarray] | Source | None = None) -> dict:
-    """The report; Hit@k falls back to max detection scores when ``scores`` is None."""
+               scores: dict[str, np.ndarray] | Source, out_report: Source | None = None) -> dict:
+    """The report: Hit@k of the average-fusion ``scores`` that ``stage_localize`` returns,
+    and mAP of the detections."""
     corpus = _read(corpus, load_corpus)
     detections = _read(detections, load_detections)
     report = evaluate(detections, corpus.test_videos, config.eval, corpus.num_labels,
-                      video_scores=_read(scores, _load_scores))
+                      _read(scores, _load_scores))
     if out_report is not None:
         atomic_write_json(out_report, report)
     return report
@@ -148,4 +148,4 @@ def run_pipeline(config: RunConfig, out_dir: Source, mode: str | None = None) ->
     model, _ = stage_train(config, corpus, mode, out / "lstm_model.json", out / "loss_curve.json")
     detections, fused = stage_localize(config, model, corpus, out / "detections.jsonl",
                                        out / "video_scores.json")
-    return stage_eval(config, detections, corpus, out / "report.json", fused)
+    return stage_eval(config, detections, corpus, fused, out / "report.json")

@@ -19,6 +19,11 @@ def table_rows(table) -> list[Detection]:
             for vid, label, start, end, score in zip(ids, *columns)]
 
 
+def true_label_scores(videos, num_labels) -> dict[str, np.ndarray]:
+    """Video scores that rank each video's own label first, as ``evaluate`` takes them."""
+    return {video.id: np.eye(num_labels)[video.label] for video in videos}
+
+
 def traced_peak(fn):
     """``fn()``'s result and the peak memory ``tracemalloc`` traced while it ran."""
     tracemalloc.start()

@@ -237,6 +237,18 @@ def brute_force_average_precision(detections, ground_truth, ratio):
     return ap / total_gt
 
 
+def cross_entropy_loss(weights, biases, features, labels, l2_penalty):
+    """Mean negative log-likelihood of softmax regression plus (l2/2) * squared norm of
+    all parameters: the objective whose gradient ``cross_entropy_gradient`` returns."""
+    nll = 0.0
+    for x, label in zip(features, labels):
+        logits = [b + sum(w * v for w, v in zip(row, x)) for row, b in zip(weights, biases)]
+        top = max(logits)
+        nll += top + math.log(sum(math.exp(z - top) for z in logits)) - logits[label]
+    squares = sum(w * w for row in weights for w in row) + sum(b * b for b in biases)
+    return nll / len(labels) + 0.5 * l2_penalty * squares
+
+
 def reference_train_classifier(features, labels, num_labels, learning_rate, epochs, l2_penalty,
                                batch_size, seed):
     """Mini-batch softmax regression written out plainly: each batch is gathered by its

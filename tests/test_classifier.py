@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laf.classifier import (Classifier, ClassifierTrainConfig, cross_entropy_gradient,
-                            cross_entropy_loss, load_classifier, predict_softmax_many,
-                            save_classifier, scores_for_labels, train_classifier)
+                            load_classifier, predict_softmax_many, save_classifier,
+                            scores_for_labels, train_classifier)
 from laf.errors import CorpusFormatError, ValidationError
 
-from oracles import reference_train_classifier
+from oracles import cross_entropy_loss, reference_train_classifier
 
 
 def uniform_classifier(num_labels, dim):

@@ -17,14 +17,15 @@ from laf import localization, lstm, pipeline
 from laf.cli import main
 from laf.corpus import Corpus, Interval, VideoSequence, load_corpus, save_corpus
 from laf.errors import LafError, ValidationError
-from laf.localization import load_detections, save_detections, Detection
+from laf.localization import DetectionTable, load_detections, save_detections, Detection
 from laf.lstm import PARAM_FIELDS, load_lstm, train_lstm
 from laf.config import run_config_from_dict
 from laf.experiments import DESK_CONFIG, weighting_trial
 from laf.pipeline import training_videos_for_mode
 
-from conftest import edit_corpus_lines, table_rows
+from conftest import edit_corpus_lines, table_rows, true_label_scores
 from oracles import line_by_line_brace_check, reference_inference_groups
+from test_config import REPEATED_EVAL_KEYS
 
 TINY = {
     "seed": 3,
@@ -56,6 +57,15 @@ def synth(config_path, tmp_path, name="corpus.jsonl"):
     out = tmp_path / name
     assert run_cli("synth", "--config", config_path, "--out", str(out)) == 0
     return out
+
+
+def scores_file(corpus_path, tmp_path):
+    """A ``--scores`` file that ranks each test video's own label first."""
+    corpus = load_corpus(corpus_path)
+    path = tmp_path / "scores.json"
+    path.write_text(json.dumps({vid: vec.tolist() for vid, vec in
+                                true_label_scores(corpus.test_videos, corpus.num_labels).items()}))
+    return path
 
 
 def transfer(config_path, tmp_path, corpus):
@@ -249,10 +259,11 @@ def test_eval_perfect_detections_reach_full_map(config_path, tmp_path):
     perfect = [Detection(v.id, v.label, seg, 1.0)
                for v in corpus.test_videos for seg in v.gt_segments]
     det_path = tmp_path / "perfect.jsonl"
-    save_detections(perfect, det_path)
+    save_detections(DetectionTable.of(perfect), det_path)
     report_path = tmp_path / "report.json"
     assert run_cli("eval", "--config", config_path, "--detections", str(det_path),
-                   "--corpus", str(corpus_path), "--out", str(report_path)) == 0
+                   "--corpus", str(corpus_path), "--scores", str(scores_file(corpus_path, tmp_path)),
+                   "--out", str(report_path)) == 0
     report = json.loads(report_path.read_text())
     assert all(value == 1.0 for value in report["map_at"].values())
     assert report["hit_at"]["1"] == 1.0
@@ -264,7 +275,8 @@ def test_eval_empty_detections_give_zero_map(config_path, tmp_path):
     det_path.write_text("")
     report_path = tmp_path / "report.json"
     assert run_cli("eval", "--config", config_path, "--detections", str(det_path),
-                   "--corpus", str(corpus_path), "--out", str(report_path)) == 0
+                   "--corpus", str(corpus_path), "--scores", str(scores_file(corpus_path, tmp_path)),
+                   "--out", str(report_path)) == 0
     report = json.loads(report_path.read_text())
     assert all(value == 0.0 for value in report["map_at"].values())
 
@@ -272,9 +284,10 @@ def test_eval_empty_detections_give_zero_map(config_path, tmp_path):
 def test_eval_unknown_video_id_fails(config_path, tmp_path, capsys):
     corpus_path = synth(config_path, tmp_path)
     det_path = tmp_path / "bad.jsonl"
-    save_detections([Detection("ghost", 0, Interval(0, 5), 1.0)], det_path)
+    save_detections(DetectionTable.of([Detection("ghost", 0, Interval(0, 5), 1.0)]), det_path)
     code = run_cli("eval", "--config", config_path, "--detections", str(det_path),
-                   "--corpus", str(corpus_path), "--out", str(tmp_path / "r.json"))
+                   "--corpus", str(corpus_path), "--scores", str(scores_file(corpus_path, tmp_path)),
+                   "--out", str(tmp_path / "r.json"))
     assert code == 1
     assert "unknown video" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
@@ -305,7 +318,8 @@ def test_detections_not_one_record_per_line_fail_by_line(case, config_path, tmp_
     det_path = tmp_path / "det.jsonl"
     det_path.write_text("\n".join(NOT_ONE_RECORD_PER_LINE[case]) + "\n")
     code = run_cli("eval", "--config", config_path, "--detections", str(det_path),
-                   "--corpus", str(corpus_path), "--out", str(tmp_path / "r.json"))
+                   "--corpus", str(corpus_path), "--scores", str(scores_file(corpus_path, tmp_path)),
+                   "--out", str(tmp_path / "r.json"))
     err = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: line 1: invalid JSON"), err
@@ -365,7 +379,8 @@ def test_valid_detections_read_by_the_line_parser(case, config_path, tmp_path, m
                                          for vid, label in (("a", 1), ("b", 0), ("v{1", 0)))),
                 corpus_path)
     assert run_cli("eval", "--config", config_path, "--detections", str(slow),
-                   "--corpus", str(corpus_path), "--out", str(tmp_path / "r.json")) == 0
+                   "--corpus", str(corpus_path), "--scores", str(scores_file(corpus_path, tmp_path)),
+                   "--out", str(tmp_path / "r.json")) == 0
     assert json.loads((tmp_path / "r.json").read_text())["map_at"]["0.1"] > 0
 
 
@@ -536,6 +551,7 @@ CONFIG_EDITS = {  # one config value each that is not a finite JSON number
     "config_classifier_learning_rate_nan": ("classifier", "learning_rate", float("nan")),
     "config_synth_mode_separation_infinite": ("synth", "mode_separation", float("inf")),
 }
+CONFIG_REPEATS = {f"config_eval_{key}_repeated": key for key in REPEATED_EVAL_KEYS}
 SEED_CONFIGS = {  # configs that each set a negative seed
     "config_seed_negative": {"seed": -3},
     "config_synth_seed_negative": {"synth": {"seed": -3}},
@@ -558,6 +574,7 @@ def malformed_call(case, config_path, tmp_path):
     """Argv of one CLI call that reads a malformed input file."""
     corpus_path = synth(config_path, tmp_path)
     videos = load_corpus(corpus_path).test_videos
+    scores = scores_file(corpus_path, tmp_path)  # before any corpus edit
     if case in CORPUS_EDITS:
         update_test_videos(corpus_path, CORPUS_EDITS[case])
     elif case == "corpus_not_utf8":
@@ -566,7 +583,7 @@ def malformed_call(case, config_path, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[]")
     detections = tmp_path / "det.jsonl"
-    save_detections([], detections)
+    save_detections(DetectionTable.of([]), detections)
     evaluate = ["eval", "--config", config_path, "--corpus", str(corpus_path),
                 "--detections", str(detections), "--out", str(tmp_path / "r.json")]
     if case == "checkpoint_dims_not_integers":  # read as int(2.9), it would run on 2 labels
@@ -581,6 +598,10 @@ def malformed_call(case, config_path, tmp_path):
     if case in CONFIG_EDITS:
         block, key, value = CONFIG_EDITS[case]
         bad.write_text(json.dumps({**TINY, block: {**TINY.get(block, {}), key: value}}))
+        return ["synth", "--config", str(bad), "--out", str(tmp_path / "c.jsonl")]
+    if case in CONFIG_REPEATS:
+        key = CONFIG_REPEATS[case]
+        bad.write_text(json.dumps({**TINY, "eval": {**TINY["eval"], key: REPEATED_EVAL_KEYS[key][0]}}))
         return ["synth", "--config", str(bad), "--out", str(tmp_path / "c.jsonl")]
     if case == "config_not_utf8":
         bad.write_bytes(b"\xff\xfe{}")
@@ -602,13 +623,15 @@ def malformed_call(case, config_path, tmp_path):
             bad.write_text(json.dumps({v.id: "high" for v in videos}))
         elif case == "scores_of_unequal_length":
             bad.write_text(json.dumps({v.id: [0.25] * (4 + i) for i, v in enumerate(videos)}))
-        return evaluate + ["--scores", str(bad)]
+        scores = bad
     video = videos[0]
     if case == "detection_label_out_of_range":
-        save_detections([Detection(video.id, 99, Interval(0, 5), 1.0)], detections)
+        save_detections(DetectionTable.of([Detection(video.id, 99, Interval(0, 5), 1.0)]),
+                        detections)
     elif case == "detection_past_video_end":
-        save_detections([Detection(video.id, video.label, Interval(0, 5000), 1.0)], detections)
-    return evaluate
+        save_detections(DetectionTable.of([Detection(video.id, video.label, Interval(0, 5000),
+                                                     1.0)]), detections)
+    return evaluate + ["--scores", str(scores)]
 
 
 def assert_one_error_line(argv):
@@ -625,7 +648,8 @@ def assert_one_error_line(argv):
 
 
 @pytest.mark.parametrize("case", ["checkpoint_is_a_list", "checkpoint_dims_not_integers",
-                                  "config_not_utf8", *CONFIG_EDITS, "seed_flag_negative",
+                                  "config_not_utf8", *CONFIG_EDITS, *CONFIG_REPEATS,
+                                  "seed_flag_negative",
                                   *SEED_CONFIGS, "scores_are_a_list",
                                   "scores_not_numbers", "scores_of_unequal_length",
                                   "scores_not_finite", "detection_label_out_of_range",
@@ -637,6 +661,8 @@ def test_malformed_input_is_one_error_line(case, config_path, tmp_path):
         assert line.startswith("error: line "), line
     if case in CONFIG_EDITS:
         assert "{}.{}: must be a finite JSON number".format(*CONFIG_EDITS[case]) in line, line
+    if case in CONFIG_REPEATS:
+        assert line == f"error: {REPEATED_EVAL_KEYS[CONFIG_REPEATS[case]][1]}", line
     if case == "checkpoint_dims_not_integers":
         assert "dims: 'outputs': must be a JSON integer" in line, line
     if case == "seed_flag_negative":
@@ -645,6 +671,21 @@ def test_malformed_input_is_one_error_line(case, config_path, tmp_path):
         assert "seed must be nonnegative, got -3" in line, line
     if case == "config_synth_seed_negative":
         assert line.startswith("error: synth: seed"), line
+
+
+def test_eval_without_scores_is_a_usage_error(config_path, tmp_path, capsys):
+    corpus_path, det_path = synth(config_path, tmp_path), tmp_path / "empty.jsonl"
+    det_path.write_text("")  # inputs that evaluate with a --scores file
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        run_cli("eval", "--config", config_path, "--detections", str(det_path),
+                "--corpus", str(corpus_path), "--out", str(tmp_path / "r.json"))
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: laf eval") and "--scores SCORES" in err
+    assert [line for line in err.splitlines() if "error:" in line] == \
+        ["laf eval: error: the following arguments are required: --scores"]
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_localize_runs_the_model_once_per_test_video(config_path, tmp_path, monkeypatch):

@@ -85,6 +85,22 @@ def test_invariant_violations_are_wrapped():
         run_config_from_dict({"transfer": {"theta1": 1.5}})
 
 
+# Two entries with one report key would write one Hit@k or mAP over the other.
+REPEATED_EVAL_KEYS = {
+    "hit_ks": ([1, 5, 1], "eval: hit_ks repeat a value: [1, 5, 1]"),
+    "overlap_ratios": ([0.5384615, 0.53846155],
+                       "eval: overlap_ratios repeat a report key: ['0.538462', '0.538462']"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(REPEATED_EVAL_KEYS))
+def test_repeated_eval_report_keys_are_named(key):
+    value, message = REPEATED_EVAL_KEYS[key]
+    with pytest.raises(ConfigError) as info:
+        run_config_from_dict({"eval": {key: value}})
+    assert str(info.value) == message
+
+
 def test_classifier_config_must_use_top_level_block():
     with pytest.raises(ConfigError, match="transfer.classifier_config"):
         run_config_from_dict({"transfer": {"classifier_config": {"epochs": 1}}})

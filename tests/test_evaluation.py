@@ -5,11 +5,10 @@ import pytest
 
 from laf.corpus import Interval, VideoSequence
 from laf.errors import ValidationError
-from laf.evaluation import (EvalConfig, average_precision, evaluate, ground_truth_by_label,
-                            hit_at_k, max_pooled_scores)
+from laf.evaluation import EvalConfig, average_precision, evaluate, ground_truth_by_label, hit_at_k
 from laf.localization import Detection, DetectionTable
 
-from conftest import MULTI_VIDEO_IDS, make_video, multi_video_detections
+from conftest import MULTI_VIDEO_IDS, make_video, multi_video_detections, true_label_scores
 from oracles import brute_force_average_precision
 
 
@@ -167,7 +166,8 @@ def test_evaluate_per_label_ap_matches_brute_force_on_several_videos():
                                 gt_segments=tuple(random_segments(rng, int(rng.integers(1, 3)))))
                   for vid, label in zip(MULTI_VIDEO_IDS, rng.integers(0, 2, 3))]
         detections = multi_video_detections(rng, int(rng.integers(3, 12)), labels=2)
-        report = evaluate(detections, videos, config, num_labels=2)
+        report = evaluate(DetectionTable.of(detections), videos, config, 2,
+                          true_label_scores(videos, 2))
         labels = sorted({video.label for video in videos})
         assert list(report["per_label_ap"]) == [str(label) for label in labels]
         for label in labels:
@@ -196,8 +196,9 @@ def test_ap_is_one_exactly_when_all_segments_match_before_any_fp():
 # --- mean AP ----------------------------------------------------------------
 
 def map_at_half(detections, videos, num_labels=2):
-    return evaluate(detections, videos, EvalConfig(hit_ks=(1,), overlap_ratios=(0.5,)),
-                    num_labels)["map_at"]["0.5"]
+    return evaluate(DetectionTable.of(detections), videos,
+                    EvalConfig(hit_ks=(1,), overlap_ratios=(0.5,)), num_labels,
+                    true_label_scores(videos, num_labels))["map_at"]["0.5"]
 
 
 def test_map_of_a_single_label_equals_its_ap():
@@ -233,7 +234,7 @@ def eval_videos():
 def test_report_keys_match_config():
     videos = eval_videos()
     config = EvalConfig(hit_ks=(1, 2), overlap_ratios=(0.1, 0.25))
-    report = evaluate([], videos, config, num_labels=2)
+    report = evaluate(DetectionTable.of([]), videos, config, 2, true_label_scores(videos, 2))
     assert list(report["hit_at"]) == ["1", "2"]
     assert list(report["map_at"]) == ["0.1", "0.25"]
     assert set(report["per_label_ap"]) == {"0", "1"}
@@ -244,7 +245,8 @@ def test_perfect_detections_give_full_map():
     videos = eval_videos()
     detections = [det(0, 6, 1.0, label=0, video=videos[0].id),
                   det(4, 10, 1.0, label=1, video=videos[1].id)]
-    report = evaluate(detections, videos, EvalConfig(hit_ks=(1, 2)), num_labels=2)
+    report = evaluate(DetectionTable.of(detections), videos, EvalConfig(hit_ks=(1, 2)), 2,
+                      true_label_scores(videos, 2))
     assert all(value == 1.0 for value in report["map_at"].values())
 
 
@@ -254,28 +256,22 @@ def test_unknown_video_id_rejected():
               "detection label 2 on 'test-1' outside [0, 2)"),
              ([det(0, 5, 1.0, video="test-0"), det(4, 13, 0.5, label=1, video="test-1"),
                det(0, 5, 1.0, video="nope")], "detection [4, 13) exceeds the 12 steps of 'test-1'")]
+    videos = eval_videos()
     for detections, message in cases:  # the first bad row names the error
         with pytest.raises(ValidationError) as info:
-            evaluate(detections, eval_videos(), EvalConfig(), 2)
+            evaluate(DetectionTable.of(detections), videos, EvalConfig(), 2,
+                     true_label_scores(videos, 2))
         assert str(info.value) == message
 
 
 def test_hit_at_k_uses_provided_fusion_scores():
     videos = eval_videos()
     scores = {videos[0].id: np.array([0.9, 0.1]), videos[1].id: np.array([0.2, 0.8])}
-    report = evaluate([], videos, EvalConfig(hit_ks=(1,)), 2, video_scores=scores)
+    report = evaluate(DetectionTable.of([]), videos, EvalConfig(hit_ks=(1,)), 2, scores)
     assert report["hit_at"]["1"] == 1.0
     swapped = {videos[0].id: np.array([0.1, 0.9]), videos[1].id: np.array([0.8, 0.2])}
-    report = evaluate([], videos, EvalConfig(hit_ks=(1,)), 2, video_scores=swapped)
+    report = evaluate(DetectionTable.of([]), videos, EvalConfig(hit_ks=(1,)), 2, swapped)
     assert report["hit_at"]["1"] == 0.0
-
-
-def test_max_pooled_fallback_scores():
-    videos = eval_videos()
-    detections = [det(0, 6, 0.4, label=0, video=videos[0].id),
-                  det(2, 8, 0.7, label=0, video=videos[0].id)]
-    pooled = max_pooled_scores(DetectionTable.of(detections), videos, 2)
-    np.testing.assert_allclose(pooled, [[0.7, 0.0], [0.0, 0.0]])
 
 
 def test_grouping_helpers():

@@ -39,7 +39,7 @@ from laf.corpus import save_corpus, with_laf_weights
 from laf.errors import ValidationError
 from laf.experiments import DESK_CONFIG
 from laf.ioutil import atomic_write_json
-from laf.localization import Detection, save_detections
+from laf.localization import Detection, DetectionTable, save_detections
 from laf.lstm import init_model, save_lstm
 from laf.synth import SynthSpec, generate_corpus
 
@@ -117,8 +117,9 @@ def build_corpus(root: Path):
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     corpus = build_corpus(root)
-    save_detections([Detection(v.id, v.label, seg, 1.0) for v in corpus.test_videos
-                     for seg in v.gt_segments], root / "detections.jsonl")
+    save_detections(DetectionTable.of([Detection(v.id, v.label, seg, 1.0)
+                                       for v in corpus.test_videos for seg in v.gt_segments]),
+                    root / "detections.jsonl")
     atomic_write_json(root / "scores.json",
                       {v.id: [1.0 / SPEC.num_labels] * SPEC.num_labels for v in corpus.test_videos})
     (root / "config.json").write_text(json.dumps({"eval": {"hit_ks": [1, 2]}}))

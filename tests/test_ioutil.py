@@ -11,7 +11,7 @@ from laf.corpus import Interval, save_corpus
 from laf.errors import ConfigError, CorpusFormatError
 from laf.ioutil import (atomic_write_bytes, decode_f64, encode_f64, json_fields, json_floats,
                         json_value)
-from laf.localization import Detection, save_detections
+from laf.localization import Detection, DetectionTable, save_detections
 from laf.lstm import init_model, save_lstm
 
 from conftest import random_corpus
@@ -103,7 +103,8 @@ def test_atomic_write_bytes_writes_the_chunks_in_order_or_nothing(tmp_path):
 def test_artifacts_get_the_mode_of_a_plain_open(tmp_path, umask):
     writers = {"corpus.bin": lambda p: save_corpus(random_corpus(np.random.default_rng(0)), p),
                "lstm.json": lambda p: save_lstm(init_model(4, 3, 2, 3), p),
-               "det.jsonl": lambda p: save_detections([Detection("v", 0, Interval(0, 2), 0.5)], p)}
+               "det.jsonl": lambda p: save_detections(
+                   DetectionTable.of([Detection("v", 0, Interval(0, 2), 0.5)]), p)}
     old = os.umask(umask)
     try:
         for name, write in writers.items():

@@ -344,7 +344,7 @@ def test_detection_with_numpy_integer_bounds_saves_and_loads_equal(tmp_path):
     detection = Detection("v0", int(label), Interval(start, start + 10), 0.5)
     assert type(detection.interval.start) is int and type(detection.interval.end) is int
     path = tmp_path / "det.jsonl"
-    save_detections([detection], path)
+    save_detections(DetectionTable.of([detection]), path)
     assert table_rows(load_detections(path)) == [detection]
 
 
@@ -352,7 +352,7 @@ def test_detections_round_trip_and_ordering(tmp_path):
     detections = [det(0, 10, 0.5, label=1, video="b"), det(3, 9, 0.75, label=0, video="a"),
                   det(5, 15, 0.25, label=1, video="a")]
     path = tmp_path / "det.jsonl"
-    save_detections(detections, path)
+    save_detections(DetectionTable.of(detections), path)
     loaded = table_rows(load_detections(path))
     assert loaded == [det(3, 9, 0.75, label=0, video="a"), det(0, 10, 0.5, label=1, video="b"),
                       det(5, 15, 0.25, label=1, video="a")]
@@ -365,7 +365,7 @@ def test_round_trip_orders_tied_detections_of_several_videos_by_id(tmp_path):
     for case in range(40):
         detections = multi_video_detections(rng, int(rng.integers(3, 15)), labels=3)
         path = tmp_path / f"det{case}.jsonl"
-        save_detections(detections, path)
+        save_detections(DetectionTable.of(detections), path)
         assert table_rows(load_detections(path)) == sorted(
             detections, key=lambda d: (d.label, -d.score, d.video_id, d.interval.start))
 
@@ -412,7 +412,7 @@ def test_save_detections_writes_compact_json_lines_across_chunks(tmp_path):
                                    "score": d.score}, separators=(",", ":")) + "\n"
                        for d in ranked)
     assert path.read_bytes() == expected.encode("utf-8")
-    save_detections([], path)
+    save_detections(DetectionTable.of([]), path)
     assert path.read_bytes() == b"\n"
 
 
