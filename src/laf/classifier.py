@@ -21,6 +21,7 @@ from .numerics import softmax
 
 CHECKPOINT_FORMAT = "laf-softmax"
 CHECKPOINT_VERSION = 1
+SCORING_ROWS = 1024  # most feature rows per softmax block in scores_for_labels
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,24 @@ def predict_softmax_many(clf: Classifier, features: np.ndarray) -> np.ndarray:
 
 
 def scores_for_labels(clf: Classifier, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Own-label probabilities: probs[i] = softmax(x_i)[labels[i]]."""
+    """Own-label probabilities: probs[i] = softmax(x_i)[labels[i]].
+
+    The rows are scored in ceil(n / SCORING_ROWS) near-equal blocks, so at most
+    SCORING_ROWS rows of softmax are held at once. Near-equal blocks give the
+    single product's bits; fixed-size blocks would leave short tails, whose BLAS
+    results can differ in the last bits.
+    """
+    features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
+    if labels.shape != features.shape[:1]:
+        raise ValidationError(f"need n labels for n feature rows, got {labels.shape} "
+                              f"and {features.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= clf.num_labels):
         raise ValidationError(f"labels outside [0, {clf.num_labels})")
-    probs = predict_softmax_many(clf, features)
-    return probs[np.arange(len(labels)), labels]
+    parts = max(1, -(-len(labels) // SCORING_ROWS))
+    return np.concatenate([predict_softmax_many(clf, rows)[np.arange(len(own)), own]
+                           for rows, own in zip(np.array_split(features, parts),
+                                                np.array_split(labels, parts))])
 
 
 def cross_entropy_gradient(weights: np.ndarray, biases: np.ndarray, features: np.ndarray,

@@ -92,11 +92,20 @@ def training_videos_for_mode(corpus: Corpus, mode: str, seed: int) -> list:
 def stage_train(config: RunConfig, corpus: Corpus | Source, mode: str | None = None,
                 out_model: Source | None = None, out_losses: Source | None = None
                 ) -> tuple[LstmModel, list[float]]:
-    """Train the detector in ``mode`` (default: the config's ``train_mode``)."""
-    corpus = _read(corpus, load_corpus)
+    """Train the detector in ``mode`` (default: the config's ``train_mode``).
+
+    A corpus read from a file is dropped before training, once each training
+    video's frames are copied out of the file's buffer, so only the training
+    split stays in memory. A corpus passed in is used as given.
+    """
+    loaded = _read(corpus, load_corpus)
     mode = mode or config.train_mode
-    videos = training_videos_for_mode(corpus, mode, config.lstm.seed)
-    model, losses = train_lstm(videos, config.lstm, corpus.num_labels, corpus.feature_dim)
+    videos = training_videos_for_mode(loaded, mode, config.lstm.seed)
+    if loaded is not corpus:
+        videos = [dataclasses.replace(v, frames=v.frames.copy()) for v in videos]
+    num_labels, feature_dim = loaded.num_labels, loaded.feature_dim
+    del loaded
+    model, losses = train_lstm(videos, config.lstm, num_labels, feature_dim)
     if out_model is not None:
         save_lstm(model, out_model)
     if out_losses is not None:

@@ -11,6 +11,7 @@ from laf.classifier import (Classifier, ClassifierTrainConfig, cross_entropy_gra
                             scores_for_labels, train_classifier)
 from laf.errors import CorpusFormatError, ValidationError
 
+from conftest import traced_peak
 from oracles import cross_entropy_loss, reference_train_classifier
 
 
@@ -81,6 +82,31 @@ def test_score_for_label():
     assert scores.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValidationError):
         scores_for_labels(clf, feature[None, :], [4])
+
+
+@pytest.mark.parametrize("num_labels,dim", [(8, 16), (40, 16), (240, 64)])
+def test_blocked_scores_are_bitwise_the_single_product(num_labels, dim):
+    rng = np.random.default_rng(num_labels)
+    clf = Classifier(rng.normal(0, 1, (num_labels, dim)), rng.normal(0, 1, num_labels))
+    for n in (1, 2, 1023, 1024, 1025, 1026, 2049, 2400, 3073, 4097, 9600):
+        features, labels = rng.normal(0, 1, (n, dim)), rng.integers(0, num_labels, n)
+        single = predict_softmax_many(clf, features)[np.arange(n), labels]
+        assert scores_for_labels(clf, features, labels).tobytes() == single.tobytes(), n
+
+
+def test_blocked_scores_hold_a_fraction_of_the_full_softmax():
+    rng = np.random.default_rng(5)
+    n, num_labels = 9600, 240
+    clf = Classifier(rng.normal(0, 1, (num_labels, 64)), rng.normal(0, 1, num_labels))
+    features, labels = rng.normal(0, 1, (n, 64)), rng.integers(0, num_labels, n)
+    _, peak = traced_peak(lambda: scores_for_labels(clf, features, labels))
+    assert peak < n * num_labels * 8 / 4  # the single product holds 18.4 MB
+
+
+def test_scores_need_one_label_per_row():
+    clf = uniform_classifier(3, 2)
+    with pytest.raises(ValidationError, match="need n labels for n feature rows"):
+        scores_for_labels(clf, np.zeros((4, 2)), [0, 1, 2])
 
 
 def test_dimension_mismatch_rejected():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,34 @@ def test_laf_mode_after_transfer(config_path, tmp_path):
     assert losses["mode"] == "laf" and len(losses["epoch_losses"]) == 2
     model = load_lstm(out)
     assert model.num_labels == 4 and model.input_dim == 8
+
+
+def test_train_from_a_file_holds_only_the_training_split(config_path, tmp_path, monkeypatch):
+    annotated = transfer(config_path, tmp_path, synth(config_path, tmp_path))
+    config = run_config_from_dict(TINY)
+    loads, calls = [], []
+
+    def spy_load(path):
+        corpus = load_corpus(path)
+        loads.append(weakref.ref(corpus))
+        return corpus
+
+    def spy_train(videos, *args):
+        calls.append(([ref() for ref in loads], list(videos)))
+        return train_lstm(videos, *args)
+
+    monkeypatch.setattr(pipeline, "load_corpus", spy_load)
+    monkeypatch.setattr(pipeline, "train_lstm", spy_train)
+    pipeline.stage_train(config, annotated, "laf", tmp_path / "a.json", tmp_path / "a.losses.json")
+    assert calls[0][0] == [None]  # the file's corpus is gone before training starts
+    assert all(video.frames.flags.owndata for video in calls[0][1])  # and so is its buffer
+    given = load_corpus(annotated)
+    pipeline.stage_train(config, given, "laf", tmp_path / "b.json", tmp_path / "b.losses.json")
+    assert len(loads) == 1
+    for ours, theirs in zip(calls[1][1], given.train_videos, strict=True):
+        assert np.shares_memory(ours.frames, theirs.frames)  # an in-memory corpus is not copied
+    for name in ("json", "losses.json"):
+        assert (tmp_path / f"a.{name}").read_bytes() == (tmp_path / f"b.{name}").read_bytes()
 
 
 # --- localize ---------------------------------------------------------------
